@@ -114,7 +114,6 @@ def make_bench_job():
         fetch_batch_size=2048,
         link_batch_size=4096,
         decode_batch_size=256,
-        fetch_max_parallelism=max(8, NUM_CPUS * 2),
         wide_round_rows=2_000_000,
     )
     return site, cfg, cdir
@@ -470,6 +469,9 @@ def _scaling_attempt(
                 )
                 dropped = _drop_page_cache() and dropped
             env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
+            # repetition 1 always runs the full bench, whatever the
+            # caller's environment holds
+            env.pop("GRAFT_BENCH_CRAWL_ONLY", None)
             if rep > 0:
                 env["GRAFT_BENCH_CRAWL_ONLY"] = "1"
             out = subprocess.run(
@@ -486,7 +488,7 @@ def _scaling_attempt(
             "cpus": ncpu,
             # leg-level ambient summary = the MEDIAN repetition's view
             "loadavg": round(statistics.median(c["loadavg"] for c in ctxs), 2),
-            "idle_wait_sec": round(sum(c["idle_wait_sec"] for c in ctxs), 1),
+            "idle_wait_total_sec": round(sum(c["idle_wait_sec"] for c in ctxs), 1),
             # the median absorbs a minority of polluted repetitions, so
             # the leg counts as idle-gated when most repetitions were
             "idle": sum(c["idle"] for c in ctxs) * 2 > len(ctxs),
@@ -503,9 +505,6 @@ def _scaling_attempt(
             ),
             "compute_probe_pages_per_sec": round(
                 statistics.median(o["compute_probe_pages_per_sec"] for o in outs), 1
-            ),
-            "crawl_frontier_sec": round(
-                statistics.median(o["queries"]["crawl_frontier"] for o in outs), 3
             ),
         }
 

@@ -96,7 +96,10 @@ class CrawlConfig:
     round_seconds: float = 30.0
     num_shards: int = 4
     shard_capacity: int = 1 << 16
-    fetch_max_parallelism: int = 64
+    # (No fan-out knob: the payload stages — body gather + links, image
+    # attach/decode — size their pieces by one rule in both executors,
+    # one piece per stage-specific row quota, capped at two pieces per
+    # cluster CPU; see _fan_out.)
     fetch_batch_size: int = 512
     decode_batch_size: int = 64
     link_batch_size: int = 512
@@ -144,7 +147,7 @@ class CrawlConfig:
     # tests in BOTH modes (tests/test_frontier_e2e.py).
     #
     # Sizing: the payload-bound stages stay parallel (raw tasks over
-    # ≤ fetch_max_parallelism chunks), so the bound is DRIVER work —
+    # _fan_out chunks, ≤ 2 per cluster CPU), so the bound is DRIVER work —
     # the vectorized cheap kernels plus the fan-out concat/dedup/seq
     # (≤ ~10× rows_in novel candidates, narrow ~100 B rows). 128 k
     # rows_in ≈ a ~1 M-row driver fan-out pass ≈ low single-digit
@@ -451,6 +454,30 @@ def _table_chunks(t: pa.Table, n: int) -> list[pa.Table]:
     return [t.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
+def _task_slots() -> int:
+    """The cluster's CPU task slots (whole CPUs, at least one)."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def _fan_out(rows: int, rows_per_task: int, floor: int) -> int:
+    """Piece count of a payload stage, the one rule both executors use:
+    one piece per ``rows_per_task`` rows (at least ``floor``), capped at
+    two pieces per task slot. A piece pays a fixed cost (task launch,
+    kernel deserialize, payload row-group open), so pieces beyond what
+    the cluster can run at once only add that cost."""
+    return max(1, min(2 * _task_slots(), max(floor, rows // rows_per_task)))
+
+
+def _image_rows(t: pa.Table) -> pa.Table:
+    """Emitted rows that carry an image: the image-landing input."""
+    return t.filter(pc.is_valid(t["image_id"]))
+
+
+def _image_count(t: pa.Table) -> int:
+    # Ray can emit column-less empty blocks
+    return len(_image_rows(t)) if len(t) else 0
+
+
 class _MicroLinkKernel:
     """Micro-round link chain as one picklable task kernel: body join →
     200 filter → link extraction → canonicalize + scope/robots — the
@@ -737,8 +764,7 @@ class CrawlJobRunner:
             # row count from the written files' footers — a count() on
             # the lazy union would re-run its whole lineage
             n_rows = _parquet_rows(fdir)
-        shard_sizes = ray.get([s.size.remote() for s in self.shards])
-        dump_shards(self.shards, self.ckpt.shards_dir(k))
+        shard_sizes = dump_shards(self.shards, self.ckpt.shards_dir(k))
         manifest = {
             "round": k,
             "job_id": self.site.job_id,
@@ -990,12 +1016,11 @@ class CrawlJobRunner:
                 kern = self._micro_image_kern = ray.put(
                     _MicroImageKernel(self.images_ref)
                 )
-            # chunk floor 128 rows: each raw task pays a fresh kernel
-            # deserialize + row-group open (~70 ms) — 16-row chunks
-            # made a 400-row round spend seconds on task overhead
-            chunks = _table_chunks(
-                emit, min(cfg.fetch_max_parallelism, max(1, len(emit) // 128))
-            )
+            # one chunk per 128 rows (_fan_out caps it at 2 per task
+            # slot): each raw task pays a fresh kernel deserialize +
+            # row-group open (~70 ms) — 16-row chunks made a 400-row
+            # round spend seconds on task overhead
+            chunks = _table_chunks(emit, _fan_out(len(emit), 128, 1))
             img_futs = [_block_apply.remote(kern, c) for c in chunks]
         _mark("emit_submit")
 
@@ -1010,13 +1035,11 @@ class CrawlJobRunner:
                 kern = self._micro_link_kern = ray.put(
                     _MicroLinkKernel(self.corpus_ref, fetcher_cls, self.scope, self.robots)
                 )
-            # chunk floor 64 rows (same task-overhead reasoning as the
-            # image chunks above; the link chain is ~ms per row, so a
-            # sub-hundred-row task is pure fixed cost, while a single
-            # mega-chunk serializes the payload row-group reads)
-            chunks = _table_chunks(
-                granted, min(cfg.fetch_max_parallelism, max(1, len(granted) // 64))
-            )
+            # one chunk per 64 rows, same rule (the link chain is ~ms
+            # per row, so a sub-hundred-row task is pure fixed cost,
+            # while a single mega-chunk serializes the payload row-group
+            # reads)
+            chunks = _table_chunks(granted, _fan_out(len(granted), 64, 1))
             parts = [
                 p
                 for p in ray.get([_block_apply.remote(kern, c) for c in chunks])
@@ -1212,18 +1235,22 @@ class CrawlJobRunner:
         # 2. fetch (task-based hash join vs the broadcast corpus; block
         # count = fetch parallelism, so split wide rounds first)
         if rows_in > 128:
-            # even small rounds split: each fetch/links task gathers its
-            # rows' payload row-groups, so block count = gather parallelism.
-            # Sparse rounds touch ~1 row group PER ROW (seeds scatter
-            # across the corpus), so parallelism tracks rows/8, not
-            # rows/64 — a 400-seed round 0 otherwise serialized ~67
+            # each fetch/links task gathers its rows' payload row-groups,
+            # so block count = gather parallelism. Sparse rounds touch ~1
+            # row group PER ROW (seeds scatter across the corpus), so the
+            # quota is 8 rows per block (_fan_out: floor 2, ≤ 2 per task
+            # slot) — a 400-seed round 0 otherwise serialized ~67
             # row-group decompressions inside each of 6 tasks.
-            granted = granted.repartition(
-                min(cfg.fetch_max_parallelism, max(2, rows_in // 8))
-            )
-        # Only fetch METADATA is materialized and shared; the body join
-        # re-runs inside the fused link chain below so multi-GB payloads
-        # stream through tasks without ever parking in the object store.
+            granted = granted.repartition(_fan_out(rows_in, 8, 2))
+        # granted (narrow frontier rows) is materialized ONCE after its
+        # shuffle: the fetch-metadata join and the link chain both read
+        # it, and a lazy view would re-run TagGrant + the repartition
+        # for each.
+        granted = granted.materialize()
+        # Only fetch METADATA is materialized from the join; the body
+        # join re-runs inside the fused link chain below so multi-GB
+        # payloads stream through tasks without ever parking in the
+        # object store.
         # The materialized table is NARROW: url and content_language are
         # dropped right after the join (everything downstream keys on
         # url_hash; strings are reconstructed from the corpus metadata
@@ -1294,31 +1321,43 @@ class CrawlJobRunner:
                     # (or dropped every row — schema() is None then):
                     # skip image landing, same as the micro path's guard
                     return
+                count_src, count_fn = emit, _image_count
             else:
                 # narrow sink: (depth, seq, url_hash, round); url/doc_id/
                 # content columns reconstruct at read time (read_emitted)
                 _write_round(emit.drop_columns(["image_id"]), self.out_dir / "emitted", k)
-            # count from the written files' metadata — no extra
-            # execution; the image path below re-runs the cheap emit
-            # kernels over the MATERIALIZED fetch metadata
-            n_emit = _parquet_rows(self.out_dir / "emitted" / f"round-{k:04d}")
-            if self.images_ref is not None and n_emit > 0:
-                # block count = payload-gather parallelism: sparse rounds
-                # inherit very few blocks from the fetch stage, which
-                # serializes the per-task image row-group reads
-                image_in = emit.repartition(
-                    min(cfg.fetch_max_parallelism, max(2, n_emit // 16))
-                )
-                image_rows = image_in.map_batches(
-                    ImageAttach(self.images_ref),
-                    batch_format="pyarrow",
-                    batch_size=cfg.decode_batch_size,
-                ).map_batches(
-                    DecodePHash(),
-                    batch_format="pyarrow",
-                    batch_size=cfg.decode_batch_size,
-                )
-                _write_round(image_rows, self.out_dir / "corpus", k)
+                # the count re-runs the cheap emit kernel over the
+                # MATERIALIZED fetch metadata
+                emit_kern = _EmitKernel(self.site.output_target)
+                count_src = fetched
+
+                def count_fn(t: pa.Table) -> int:
+                    return _image_count(emit_kern(t)) if len(t) else 0
+
+            if self.images_ref is None:
+                return
+            # image rows counted by raw block tasks (no executor); a
+            # round without any starts no image stage
+            n_img = sum(_map_block_refs(count_src, count_fn))
+            if n_img == 0:
+                return
+            # only image rows shuffle, into _fan_out pieces (16 rows
+            # each, floor 2): block count = payload-gather parallelism,
+            # and sparse rounds inherit very few blocks from the fetch
+            # stage, which serializes the per-task image row-group reads
+            image_in = emit.map_batches(_image_rows, batch_format="pyarrow").repartition(
+                _fan_out(n_img, 16, 2)
+            )
+            image_rows = image_in.map_batches(
+                ImageAttach(self.images_ref),
+                batch_format="pyarrow",
+                batch_size=cfg.decode_batch_size,
+            ).map_batches(
+                DecodePHash(),
+                batch_format="pyarrow",
+                batch_size=cfg.decode_batch_size,
+            )
+            _write_round(image_rows, self.out_dir / "corpus", k)
 
         import concurrent.futures as _cf
 

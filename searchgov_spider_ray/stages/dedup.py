@@ -319,14 +319,14 @@ class CorrectionFix:
         return t.append_column("novel", pa.array(novel))
 
 
-def dump_shards(shard_handles: list, out_dir: str | Path) -> list[str]:
+def dump_shards(shard_handles: list, out_dir: str | Path) -> list[int]:
     """Checkpoint every shard's filter+audit state (K6 analog) — the
-    actors write their own files concurrently."""
+    actors write their own files concurrently. Returns each shard's size
+    at its dump (the manifest's ``shard_sizes``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [str(out / f"shard_{i:04d}.npz") for i in range(len(shard_handles))]
-    ray.get([s.dump_to.remote(p) for s, p in zip(shard_handles, paths)])
-    return paths
+    return ray.get([s.dump_to.remote(p) for s, p in zip(shard_handles, paths)])
 
 
 def restore_shards(shard_handles: list, ckpt_dir: str | Path) -> list[int]:

@@ -38,8 +38,7 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def sim_env(corpus_dir):
+def _sim_env(corpus_dir):
     corpus = load_corpus_dict(pq.read_table(corpus_dir / "corpus_pages.parquet"))
     robots = RobotsRules.from_table(pq.read_table(corpus_dir / "robots.parquet"))
     sites = {s.name: s for s in CrawlSites.from_file(corpus_dir / "seeds.json").sites}
@@ -48,8 +47,13 @@ def sim_env(corpus_dir):
     return corpus, robots, sites, captions
 
 
+@pytest.fixture(scope="module")
+def sim_env(corpus_dir):
+    return _sim_env(corpus_dir)
+
+
 def _run(site, corpus_dir, out_dir, **cfg_kwargs):
-    cfg = CrawlConfig(round_seconds=ROUND_SECONDS, num_shards=4, **cfg_kwargs)
+    cfg = CrawlConfig(**{"round_seconds": ROUND_SECONDS, "num_shards": 4, **cfg_kwargs})
     runner = CrawlJobRunner(site, corpus_dir, out_dir, cfg)
     res = runner.run()
     return runner, res
@@ -205,21 +209,134 @@ class TestDatasetPathParity:
         rm, res_m = _run(sites["plain"], corpus_dir, out_m)
         rd_, res_d = _run(sites["plain"], corpus_dir, out_d, micro_round_rows=0)
         try:
-            om, od = read_order(out_m), read_order(out_d)
-            for col in ("round", "depth", "seq", "url"):
-                assert om[col].tolist() == od[col].tolist(), col
-            assert read_seen(rm) == read_seen(rd_)
-            assert read_denied(out_m) == read_denied(out_d)
-            em, ed = read_emitted(out_m), read_emitted(out_d)
-            assert em["url"].tolist() == ed["url"].tolist()
-            assert em["doc_id"].tolist() == ed["doc_id"].tolist()
-            cm = pq.read_table(str(out_m / "corpus")).to_pandas()
-            cd = pq.read_table(str(out_d / "corpus")).to_pandas()
-            assert sorted(cm["image_id"]) == sorted(cd["image_id"])
-            assert cm["phash_match"].all() and cd["phash_match"].all()
+            _assert_same_crawl(rm, out_m, rd_, out_d)
         finally:
             rm.close()
             rd_.close()
+
+    def test_imageless_dataset_round_lands_no_images(self, tmp_path_factory, monkeypatch):
+        """A Dataset round whose emitted pages carry no image starts no
+        image stage: no corpus sink runs and no ``corpus/round-XXXX``
+        output appears. Rounds that do carry images still land exactly
+        the simulator's images."""
+        from searchgov_spider_ray.pipelines import frontier
+
+        sinks: list[tuple[str, int]] = []
+        write_round = frontier._write_round
+
+        def recorded(ds, base, round_id):
+            sinks.append((base.name, round_id))
+            write_round(ds, base, round_id)
+
+        monkeypatch.setattr(frontier, "_write_round", recorded)
+        cdir = tmp_path_factory.mktemp("sparse_image_corpus")
+        # only page 0 of each domain (the plain job's seed) has an image
+        generate_corpus(
+            cdir, CorpusSpec(seed=42, n_domains=3, pages_per_domain=40, image_rate_mod=1000)
+        )
+        corpus, robots, sites, captions = _sim_env(cdir)
+        out = tmp_path_factory.mktemp("sparse_image_out")
+        runner, _ = _run(sites["plain"], cdir, out, micro_round_rows=0)
+        runner.close()
+        sim = simulate_crawl(sites["plain"], corpus, robots, captions, round_seconds=ROUND_SECONDS)
+
+        emitted = read_emitted(out)
+        has_image = emitted["url"].map(lambda u: corpus[u].get("image_id") is not None)
+        image_rounds = {f"round-{r:04d}" for r in emitted.loc[has_image, "round"]}
+        emit_rounds = {f"round-{r:04d}" for r in emitted["round"]}
+        assert image_rounds and emit_rounds - image_rounds
+        assert {f"round-{k:04d}" for b, k in sinks if b == "corpus"} == image_rounds
+        assert {d.name for d in (out / "corpus").glob("round-*")} == image_rounds
+        landed = pq.read_table(str(out / "corpus")).to_pandas()
+        assert set(landed["image_id"]) == {e["image_id"] for e in sim.emitted if e["image_id"]}
+        assert landed["phash_match"].all()
+
+
+def _assert_same_crawl(rm, out_m, rd_, out_d):
+    """Two crawls of one job agree on order (incl. round boundaries),
+    URL-seen set, denial set, emitted rows and landed images."""
+    om, od = read_order(out_m), read_order(out_d)
+    for col in ("round", "depth", "seq", "url"):
+        assert om[col].tolist() == od[col].tolist(), col
+    assert read_seen(rm) == read_seen(rd_)
+    assert read_denied(out_m) == read_denied(out_d)
+    em, ed = read_emitted(out_m), read_emitted(out_d)
+    assert em["url"].tolist() == ed["url"].tolist()
+    assert em["doc_id"].tolist() == ed["doc_id"].tolist()
+    cm = pq.read_table(str(out_m / "corpus")).to_pandas()
+    cd = pq.read_table(str(out_d / "corpus")).to_pandas()
+    assert sorted(cm["image_id"]) == sorted(cd["image_id"])
+    assert cm["phash_match"].all() and cd["phash_match"].all()
+
+
+def test_fan_out_bounds(monkeypatch):
+    from searchgov_spider_ray.pipelines import frontier
+
+    for slots in (1, 2, 3, 32):
+        monkeypatch.setattr(frontier, "_task_slots", lambda s=slots: s)
+        for rows in (0, 1, 7, 63, 64, 130, 6_703, 10**6):
+            for rows_per_task, floor in ((8, 2), (16, 2), (64, 1), (128, 1)):
+                n = frontier._fan_out(rows, rows_per_task, floor)
+                assert 1 <= n <= 2 * slots
+                assert n <= max(floor, rows // rows_per_task)
+    # a 6,703-row Dataset round at 8 rows per block: 4 blocks on 2 CPUs,
+    # 64 on 32
+    monkeypatch.setattr(frontier, "_task_slots", lambda: 2)
+    assert frontier._fan_out(6_703, 8, 2) == 4
+    monkeypatch.setattr(frontier, "_task_slots", lambda: 32)
+    assert frontier._fan_out(6_703, 8, 2) == 64
+
+
+@pytest.fixture(scope="module")
+def fan_out_corpus(tmp_path_factory):
+    # rounds of ~100-200 frontier rows and ~25-60 image rows with long
+    # politeness rounds: wide enough that 1 and 32 task slots give
+    # different piece counts
+    out = tmp_path_factory.mktemp("fan_out_corpus")
+    generate_corpus(out, CorpusSpec(seed=42, n_domains=3, pages_per_domain=300, branching=16))
+    return out
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestFanOutParity:
+    """The Dataset path's output does not depend on the cluster's task
+    slot count: with the slot count forced to 1 and to 32 it matches the
+    micro run row for row."""
+
+    @pytest.fixture(scope="class")
+    def micro_run(self, fan_out_corpus, tmp_path_factory):
+        sites = {s.name: s for s in CrawlSites.from_file(fan_out_corpus / "seeds.json").sites}
+        site = sites["deep all domains"]
+        out = tmp_path_factory.mktemp("fan_out_micro_out")
+        runner, _ = _run(site, fan_out_corpus, out, round_seconds=3600.0)
+        yield site, runner, out
+        runner.close()
+
+    @pytest.mark.parametrize("slots", [1, 32])
+    def test_dataset_path_matches_micro(
+        self, slots, micro_run, fan_out_corpus, tmp_path, monkeypatch
+    ):
+        from searchgov_spider_ray.pipelines import frontier
+
+        site, rm, out_m = micro_run
+        pieces: list[int] = []
+        fan_out = frontier._fan_out
+
+        def recorded(*args):
+            pieces.append(fan_out(*args))
+            return pieces[-1]
+
+        monkeypatch.setattr(frontier, "_task_slots", lambda: slots)
+        monkeypatch.setattr(frontier, "_fan_out", recorded)
+        out_d = tmp_path / "out"
+        rd_, _ = _run(site, fan_out_corpus, out_d, round_seconds=3600.0, micro_round_rows=0)
+        try:
+            _assert_same_crawl(rm, out_m, rd_, out_d)
+        finally:
+            rd_.close()
+        # the rule bit: the cap held every stage at 2 pieces on one slot,
+        # and some stage went wider on 32
+        assert pieces and (max(pieces) == 2 if slots == 1 else max(pieces) > 2)
 
 
 # user emit steps live in arbitrary user modules; this test module is
