@@ -42,6 +42,7 @@ Scale notes (the 100 TB story):
 from __future__ import annotations
 
 import shutil
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -455,17 +456,18 @@ def _table_chunks(t: pa.Table, n: int) -> list[pa.Table]:
 
 
 def _task_slots() -> int:
-    """The cluster's CPU task slots (whole CPUs, at least one)."""
+    """The cluster's CPU task slots (whole CPUs, at least one). A GCS
+    round trip, so :meth:`CrawlJobRunner.run` looks it up once."""
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
-def _fan_out(rows: int, rows_per_task: int, floor: int) -> int:
+def _fan_out(rows: int, rows_per_task: int, floor: int, slots: int) -> int:
     """Piece count of a payload stage, the one rule both executors use:
     one piece per ``rows_per_task`` rows (at least ``floor``), capped at
     two pieces per task slot. A piece pays a fixed cost (task launch,
-    kernel deserialize, payload row-group open), so pieces beyond what
-    the cluster can run at once only add that cost."""
-    return max(1, min(2 * _task_slots(), max(floor, rows // rows_per_task)))
+    payload row-group reads), so pieces beyond what the cluster can run
+    at once only add that cost."""
+    return max(1, min(2 * slots, max(floor, rows // rows_per_task)))
 
 
 def _image_rows(t: pa.Table) -> pa.Table:
@@ -483,7 +485,7 @@ class _MicroLinkKernel:
     200 filter → link extraction → canonicalize + scope/robots — the
     same fused chain the Dataset path runs, minus the executor. Shipped
     once via ray.put (the scope/robots tables can be MBs at web
-    scale)."""
+    scale) and deserialized once per worker (:func:`_warm_kernel`)."""
 
     def __init__(self, corpus_ref, fetcher_cls, scope: JobScope, robots: RobotsRules):
         self.fetcher = fetcher_cls(corpus_ref)
@@ -586,6 +588,36 @@ def _empty_frontier() -> pa.Table:
 @ray.remote
 def _block_apply(fn, block):
     return fn(block)
+
+
+# Deserialized micro-round kernels of this worker process, keyed by the
+# binary id of the ref each runner ray.puts once per job (so a new
+# runner never meets an older runner's kernel), most recently used last.
+# Two entries hold one runner's link and image kernels.
+_WARM_KERNELS: OrderedDict[bytes, object] = OrderedDict()
+_WARM_KERNELS_MAX = 2
+
+
+def _warm_kernel(boxed_ref: list):
+    """The kernel behind ``[ref]``, deserialized once per worker process:
+    later tasks reuse its corpus view and payload row-group cache."""
+    (ref,) = boxed_ref
+    key = ref.binary()
+    fn = _WARM_KERNELS.pop(key, None)
+    if fn is None:
+        fn = ray.get(ref)
+    _WARM_KERNELS[key] = fn
+    while len(_WARM_KERNELS) > _WARM_KERNELS_MAX:
+        _WARM_KERNELS.popitem(last=False)
+    return fn
+
+
+@ray.remote
+def _warm_apply(boxed_ref: list, block):
+    """Micro-round payload task. The kernel ref arrives boxed, so Ray
+    neither fetches nor unpickles it per task; :func:`_warm_kernel`
+    does that once per worker."""
+    return _warm_kernel(boxed_ref)(block)
 
 
 def _map_block_refs(ds: rd.Dataset, fn):
@@ -764,7 +796,8 @@ class CrawlJobRunner:
             # row count from the written files' footers — a count() on
             # the lazy union would re-run its whole lineage
             n_rows = _parquet_rows(fdir)
-        shard_sizes = dump_shards(self.shards, self.ckpt.shards_dir(k))
+        # checkpoint k is taken after round k - 1's last offer
+        shard_sizes = dump_shards(self.shards, self.ckpt.shards_dir(k), k - 1)
         manifest = {
             "round": k,
             "job_id": self.site.job_id,
@@ -854,25 +887,16 @@ class CrawlJobRunner:
 
         total_fetched = 0
         per_round: list[int] = []
+        slots = _task_slots()
         k = start_round
         while k < cfg.max_rounds:
             manifest = self.ckpt.read_manifest(k)
             if manifest is None or manifest["frontier_rows"] == 0:
                 break
-            fetched_count = self._run_round(k)
+            fetched_count = self._run_round(k, slots)
             per_round.append(fetched_count)
             total_fetched += fetched_count
-            # fire-and-forget: end_round is a purge of ≤k state (memo,
-            # offer log; self._round is write-only), so nothing this
-            # side of the final size() fence reads its effect — the
-            # per-round all-shard ray.get barrier bought only latency.
-            # Actor mailbox order keeps it ahead of this driver's next
-            # submissions, and a late purge relative to round k+1
-            # worker offers is harmless (it never touches >k state).
-            for s in self.shards:
-                s.end_round.remote(k)
             k += 1
-        # size() doubles as the fence behind every queued end_round
         seen_total = int(sum(ray.get([s.size.remote() for s in self.shards])))
         return CrawlRunResult(
             job_id=self.site.job_id,
@@ -915,7 +939,7 @@ class CrawlJobRunner:
             thr_all[np.searchsorted(all_doms, dom_o)] = thr_o
         return all_doms, thr_all
 
-    def _run_round_micro(self, k: int) -> int:
+    def _run_round_micro(self, k: int, slots: int) -> int:
         """Micro-round fast path (rows_in ≤ cfg.micro_round_rows): the
         SAME kernel objects as the Dataset path, but cheap stages run
         as direct calls on one driver-side Arrow table and the two
@@ -1008,7 +1032,11 @@ class CrawlJobRunner:
             emit = apply_steps_table(emit, self.emit_steps, self._emit_step_instances)
         _write_table_round(_strip_image_id(emit), self.out_dir / "emitted", k)
         img_futs: list = []
-        if self.images_ref is not None and len(emit) and "image_id" in emit.column_names:
+        if self.images_ref is not None and "image_id" in emit.column_names:
+            img_rows = _image_rows(emit)
+        else:
+            img_rows = []
+        if len(img_rows):
             # round-independent kernel: put once per job, reuse the ref
             # every micro round (serialize + plasma copy paid once)
             kern = self._micro_image_kern
@@ -1016,12 +1044,11 @@ class CrawlJobRunner:
                 kern = self._micro_image_kern = ray.put(
                     _MicroImageKernel(self.images_ref)
                 )
-            # one chunk per 128 rows (_fan_out caps it at 2 per task
-            # slot): each raw task pays a fresh kernel deserialize +
-            # row-group open (~70 ms) — 16-row chunks made a 400-row
-            # round spend seconds on task overhead
-            chunks = _table_chunks(emit, _fan_out(len(emit), 128, 1))
-            img_futs = [_block_apply.remote(kern, c) for c in chunks]
+            # only image rows ship, one chunk per 128 of them (_fan_out
+            # caps it at 2 per task slot): a warm kernel still pays a
+            # task launch and its payload row-group reads per chunk
+            chunks = _table_chunks(img_rows, _fan_out(len(img_rows), 128, 1, slots))
+            img_futs = [_warm_apply.remote([kern], c) for c in chunks]
         _mark("emit_submit")
 
         # 5. link chain (body gathers as chunked raw tasks, running
@@ -1036,13 +1063,13 @@ class CrawlJobRunner:
                     _MicroLinkKernel(self.corpus_ref, fetcher_cls, self.scope, self.robots)
                 )
             # one chunk per 64 rows, same rule (the link chain is ~ms
-            # per row, so a sub-hundred-row task is pure fixed cost,
+            # per row, so a sub-hundred-row task is mostly launch cost,
             # while a single mega-chunk serializes the payload row-group
             # reads)
-            chunks = _table_chunks(granted, _fan_out(len(granted), 64, 1))
+            chunks = _table_chunks(granted, _fan_out(len(granted), 64, 1, slots))
             parts = [
                 p
-                for p in ray.get([_block_apply.remote(kern, c) for c in chunks])
+                for p in ray.get([_warm_apply.remote([kern], c) for c in chunks])
                 if len(p)
             ]
             scoped = pa.concat_tables(parts).combine_chunks() if parts else None
@@ -1117,7 +1144,7 @@ class CrawlJobRunner:
         _mark("checkpoint")
         return _finish(n_fetched)
 
-    def _run_round(self, k: int) -> int:
+    def _run_round(self, k: int, slots: int) -> int:
         import os
         import time as _time
 
@@ -1139,7 +1166,7 @@ class CrawlJobRunner:
             and rows_in <= cfg.micro_round_rows
             and not os.environ.get("GRAFT_NO_MICRO")
         ):
-            return self._run_round_micro(k)
+            return self._run_round_micro(k, slots)
         frontier = rd.read_parquet(str(self.ckpt.frontier_dir(k)))
 
         # 1. politeness grant. Normal rounds: NO exchange — each block
@@ -1241,7 +1268,7 @@ class CrawlJobRunner:
             # quota is 8 rows per block (_fan_out: floor 2, ≤ 2 per task
             # slot) — a 400-seed round 0 otherwise serialized ~67
             # row-group decompressions inside each of 6 tasks.
-            granted = granted.repartition(_fan_out(rows_in, 8, 2))
+            granted = granted.repartition(_fan_out(rows_in, 8, 2, slots))
         # granted (narrow frontier rows) is materialized ONCE after its
         # shuffle: the fetch-metadata join and the link chain both read
         # it, and a lazy view would re-run TagGrant + the repartition
@@ -1346,7 +1373,7 @@ class CrawlJobRunner:
             # and sparse rounds inherit very few blocks from the fetch
             # stage, which serializes the per-task image row-group reads
             image_in = emit.map_batches(_image_rows, batch_format="pyarrow").repartition(
-                _fan_out(n_img, 16, 2)
+                _fan_out(n_img, 16, 2, slots)
             )
             image_rows = image_in.map_batches(
                 ImageAttach(self.images_ref),

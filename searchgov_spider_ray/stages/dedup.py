@@ -72,7 +72,6 @@ class DedupShardActor:
         self.shard_id = shard_id
         self.shard = UrlSeenShard(capacity=capacity, seed=shard_id)
         self._memo: dict[tuple[int, int], np.ndarray] = {}
-        self._round = 0
         # per-round offer log for the fused dedup path: round_id ->
         # list of raw (h, adm, mask) and/or reduced chunks
         self._offers: dict[int, list] = {}
@@ -107,7 +106,7 @@ class DedupShardActor:
         if not log:
             # pre-deduped driver-side calls (seed admission) never need
             # corrections — skip the offer log so no round_id=-1 entries
-            # linger until the first end_round purge
+            # linger until the first checkpoint dump purges them
             return mask
         chunks = self._offers.setdefault(round_id, [])
         chunks.append((hashes.astype(np.uint64), adm_keys.astype(np.uint64), mask))
@@ -170,24 +169,21 @@ class DedupShardActor:
     def contains(self, hashes: np.ndarray) -> np.ndarray:
         return self.shard.contains(hashes)
 
-    def end_round(self, round_id: int) -> int:
-        """Clear the retry memo and offer log for completed rounds;
-        returns shard size."""
-        self._memo = {k: v for k, v in self._memo.items() if k[0] > round_id}
-        self._offers = {r: v for r, v in self._offers.items() if r > round_id}
-        self._round = round_id + 1
-        return len(self.shard)
-
     def size(self) -> int:
         return len(self.shard)
 
     def dump(self) -> bytes:
         return self.shard.dump()
 
-    def dump_to(self, path: str) -> int:
+    def dump_to(self, path: str, done_round: int) -> int:
         """Write this shard's checkpoint file from inside the actor —
         all shards dump concurrently instead of shipping bytes through
-        the driver (multi-node: path is on shared/job storage)."""
+        the driver (multi-node: path is on shared/job storage).
+
+        The dump follows every offer of ``done_round``, so it also
+        clears the retry memo and offer log of rounds ≤ ``done_round``."""
+        self._memo = {k: v for k, v in self._memo.items() if k[0] > done_round}
+        self._offers = {r: v for r, v in self._offers.items() if r > done_round}
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(path).with_suffix(".tmp")
         tmp.write_bytes(self.shard.dump())
@@ -319,14 +315,17 @@ class CorrectionFix:
         return t.append_column("novel", pa.array(novel))
 
 
-def dump_shards(shard_handles: list, out_dir: str | Path) -> list[int]:
-    """Checkpoint every shard's filter+audit state (K6 analog) — the
-    actors write their own files concurrently. Returns each shard's size
-    at its dump (the manifest's ``shard_sizes``)."""
+def dump_shards(shard_handles: list, out_dir: str | Path, done_round: int) -> list[int]:
+    """Checkpoint every shard's filter+audit state (K6 analog) after
+    round ``done_round`` — the actors write their own files concurrently
+    and drop that round's replay state. Returns each shard's size at its
+    dump (the manifest's ``shard_sizes``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [str(out / f"shard_{i:04d}.npz") for i in range(len(shard_handles))]
-    return ray.get([s.dump_to.remote(p) for s, p in zip(shard_handles, paths)])
+    return ray.get(
+        [s.dump_to.remote(p, done_round) for s, p in zip(shard_handles, paths)]
+    )
 
 
 def restore_shards(shard_handles: list, ckpt_dir: str | Path) -> list[int]:

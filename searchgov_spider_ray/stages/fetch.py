@@ -22,10 +22,14 @@ dead link: status 0, no body, never retried (RETRY_ENABLED=False
 parity).
 
 These callables are deliberately TASK-based (instances, not actor
-pools): their only state is the read-only broadcast table, and lazy
-zero-copy attach per task beats paying actor-pool spin-up every BSP
-round. The genuinely mutable stages (URL-seen shards, politeness) are
-the actor-held state. A real HTTP fetcher would flip back to an actor
+pools): their only state is the read-only broadcast table plus a
+payload row-group cache, and lazy zero-copy attach beats paying
+actor-pool spin-up every BSP round. On the micro-round path each task
+worker deserializes a kernel once and keeps it across tasks and rounds
+(``pipelines/frontier.py`` ``_warm_kernel``), so the attach and the
+row-group cache outlive the task: actor-like warm state, task
+scheduling. The genuinely mutable stages (URL-seen shards, politeness)
+are the actor-held state. A real HTTP fetcher would flip back to an actor
 pool via ``map_batches(HttpFetcher, concurrency=N)`` with this same
 batch contract.
 """
@@ -52,7 +56,9 @@ class _RowGroupGather:
     (page-cache-served on re-reads). Access patterns cluster by domain
     — the corpus is written domain-contiguous and politeness groups
     frontier rows by domain — so a handful of cached groups covers a
-    batch."""
+    batch. A warm micro-round kernel keeps its gather, so the cache also
+    carries a hot domain's groups from one round's task to the next;
+    under the Dataset executor it lives for one task's batches."""
 
     def __init__(self, path: str, column: str, cache_groups: int = 16):
         self.path = path

@@ -52,6 +52,27 @@ def sim_env(corpus_dir):
     return _sim_env(corpus_dir)
 
 
+@pytest.fixture(scope="module")
+def sparse_image_corpus(tmp_path_factory):
+    # only page 0 of each domain (the plain job's seed) has an image
+    out = tmp_path_factory.mktemp("sparse_image_corpus")
+    generate_corpus(
+        out, CorpusSpec(seed=42, n_domains=3, pages_per_domain=40, image_rate_mod=1000)
+    )
+    return out
+
+
+def _assert_sim_parity(runner, out, sim):
+    """A crawl matches the simulator on order, URL-seen set, denials and
+    landed images."""
+    assert read_order(out)["url"].tolist() == [u for _, u, _ in sim.order]
+    assert read_seen(runner) == {xxhash64(u) for u in sim.seen}
+    assert read_denied(out) == sim.denied
+    landed = pq.read_table(str(out / "corpus")).to_pandas()
+    assert set(landed["image_id"]) == {e["image_id"] for e in sim.emitted if e["image_id"]}
+    assert landed["phash_match"].all()
+
+
 def _run(site, corpus_dir, out_dir, **cfg_kwargs):
     cfg = CrawlConfig(**{"round_seconds": ROUND_SECONDS, "num_shards": 4, **cfg_kwargs})
     runner = CrawlJobRunner(site, corpus_dir, out_dir, cfg)
@@ -214,7 +235,9 @@ class TestDatasetPathParity:
             rm.close()
             rd_.close()
 
-    def test_imageless_dataset_round_lands_no_images(self, tmp_path_factory, monkeypatch):
+    def test_imageless_dataset_round_lands_no_images(
+        self, sparse_image_corpus, tmp_path_factory, monkeypatch
+    ):
         """A Dataset round whose emitted pages carry no image starts no
         image stage: no corpus sink runs and no ``corpus/round-XXXX``
         output appears. Rounds that do carry images still land exactly
@@ -229,11 +252,7 @@ class TestDatasetPathParity:
             write_round(ds, base, round_id)
 
         monkeypatch.setattr(frontier, "_write_round", recorded)
-        cdir = tmp_path_factory.mktemp("sparse_image_corpus")
-        # only page 0 of each domain (the plain job's seed) has an image
-        generate_corpus(
-            cdir, CorpusSpec(seed=42, n_domains=3, pages_per_domain=40, image_rate_mod=1000)
-        )
+        cdir = sparse_image_corpus
         corpus, robots, sites, captions = _sim_env(cdir)
         out = tmp_path_factory.mktemp("sparse_image_out")
         runner, _ = _run(sites["plain"], cdir, out, micro_round_rows=0)
@@ -269,22 +288,19 @@ def _assert_same_crawl(rm, out_m, rd_, out_d):
     assert cm["phash_match"].all() and cd["phash_match"].all()
 
 
-def test_fan_out_bounds(monkeypatch):
+def test_fan_out_bounds():
     from searchgov_spider_ray.pipelines import frontier
 
     for slots in (1, 2, 3, 32):
-        monkeypatch.setattr(frontier, "_task_slots", lambda s=slots: s)
         for rows in (0, 1, 7, 63, 64, 130, 6_703, 10**6):
             for rows_per_task, floor in ((8, 2), (16, 2), (64, 1), (128, 1)):
-                n = frontier._fan_out(rows, rows_per_task, floor)
+                n = frontier._fan_out(rows, rows_per_task, floor, slots)
                 assert 1 <= n <= 2 * slots
                 assert n <= max(floor, rows // rows_per_task)
     # a 6,703-row Dataset round at 8 rows per block: 4 blocks on 2 CPUs,
     # 64 on 32
-    monkeypatch.setattr(frontier, "_task_slots", lambda: 2)
-    assert frontier._fan_out(6_703, 8, 2) == 4
-    monkeypatch.setattr(frontier, "_task_slots", lambda: 32)
-    assert frontier._fan_out(6_703, 8, 2) == 64
+    assert frontier._fan_out(6_703, 8, 2, 2) == 4
+    assert frontier._fan_out(6_703, 8, 2, 32) == 64
 
 
 @pytest.fixture(scope="module")
@@ -434,3 +450,84 @@ class TestEmitStepsInCrawlLoop:
         finally:
             rm.close()
             rd_.close()
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestMicroRounds:
+    """The micro path's payload tasks: image tasks only for image rows,
+    one slot lookup per run, and warm kernels that never leak from one
+    runner into the next."""
+
+    def test_image_tasks_only_for_image_rows(
+        self, sparse_image_corpus, tmp_path_factory, monkeypatch
+    ):
+        from searchgov_spider_ray.pipelines import frontier
+
+        submitted: list[tuple[bytes, int]] = []
+        warm_apply = frontier._warm_apply
+
+        class _Recorded:
+            @staticmethod
+            def remote(boxed_ref, chunk):
+                submitted.append((boxed_ref[0].binary(), len(chunk)))
+                return warm_apply.remote(boxed_ref, chunk)
+
+        monkeypatch.setattr(frontier, "_warm_apply", _Recorded)
+        corpus, robots, sites, captions = _sim_env(sparse_image_corpus)
+        out = tmp_path_factory.mktemp("sparse_image_micro_out")
+        runner, res = _run(sites["plain"], sparse_image_corpus, out)
+        try:
+            sim = simulate_crawl(
+                sites["plain"], corpus, robots, captions, round_seconds=ROUND_SECONDS
+            )
+            emitted = read_emitted(out)
+            has_image = emitted["url"].map(lambda u: corpus[u].get("image_id") is not None)
+            image_rounds = set(emitted.loc[has_image, "round"])
+            assert image_rounds and len(image_rounds) < res.rounds
+            image_kern = runner._micro_image_kern.binary()
+            image_tasks = [n for key, n in submitted if key == image_kern]
+            # each image round has fewer than 128 image rows: one task
+            assert len(image_tasks) == len(image_rounds)
+            assert sum(image_tasks) == len({e["image_id"] for e in sim.emitted if e["image_id"]})
+            _assert_sim_parity(runner, out, sim)
+        finally:
+            runner.close()
+
+    def test_slot_lookup_once_per_run(self, corpus_dir, sim_env, tmp_path, monkeypatch):
+        import ray
+
+        _, _, sites, _ = sim_env
+        cfg = CrawlConfig(round_seconds=ROUND_SECONDS, num_shards=4)
+        runner = CrawlJobRunner(sites["plain"], corpus_dir, tmp_path / "out", cfg)
+        calls = []
+        cluster_resources = ray.cluster_resources
+
+        def counted():
+            calls.append(1)
+            return cluster_resources()
+
+        monkeypatch.setattr(ray, "cluster_resources", counted)
+        try:
+            res = runner.run()
+            assert res.rounds > 2
+            assert len(calls) <= 1
+        finally:
+            runner.close()
+
+    def test_back_to_back_runners_match_simulator(self, corpus_dir, sim_env, tmp_path):
+        """A second runner in the same Ray session puts new kernel refs,
+        so its tasks never reuse the first runner's warm kernels; both
+        crawls match the simulator."""
+        corpus, robots, sites, captions = sim_env
+        site = sites["deep all domains"]
+        sim = simulate_crawl(site, corpus, robots, captions, round_seconds=ROUND_SECONDS)
+        keys = []
+        for i in range(2):
+            out = tmp_path / f"out{i}"
+            runner, _ = _run(site, corpus_dir, out)
+            try:
+                keys.append(runner._micro_link_kern.binary())
+                _assert_sim_parity(runner, out, sim)
+            finally:
+                runner.close()
+        assert keys[0] != keys[1]

@@ -32,6 +32,7 @@ from searchgov_spider_ray.sources.crawl_sites import CrawlSites
 from searchgov_spider_ray.stages.dedup import (
     CorrectionFix,
     collect_corrections,
+    dump_shards,
     make_shard_pool,
 )
 
@@ -116,7 +117,7 @@ class TestShardOfferProtocol:
             for s in shards:
                 ray.kill(s)
 
-    def test_seen_hash_multi_offer_reason_split(self):
+    def test_seen_hash_multi_offer_reason_split(self, tmp_path):
         """A hash seen in an EARLIER round, offered twice this round:
         the min-adm row keeps cross-dup (intra_first, not novel), the
         other flips to intra-loser — the old two-stage classification."""
@@ -124,7 +125,7 @@ class TestShardOfferProtocol:
         try:
             h = np.array([404], dtype=np.uint64)
             _offer_batch(shards, 0, h, np.array([1], dtype=np.uint64))
-            ray.get([s.end_round.remote(0) for s in shards])
+            dump_shards(shards, tmp_path, 0)
 
             i1, n1 = _offer_batch(shards, 1, h, np.array([30], dtype=np.uint64))
             i2, n2 = _offer_batch(shards, 1, h, np.array([12], dtype=np.uint64))
@@ -157,7 +158,23 @@ class TestShardOfferProtocol:
             for s in shards:
                 ray.kill(s)
 
-    def test_random_offers_match_single_block_oracle(self):
+    def test_checkpoint_dump_purges_done_rounds_only(self, tmp_path):
+        """The checkpoint dump after round k drops the offer logs of
+        rounds ≤ k and keeps later rounds' logs."""
+        shards = make_shard_pool(1)
+        try:
+            h = np.array([55], dtype=np.uint64)
+            for r in (0, 1):
+                _offer_batch(shards, r, h, np.array([4], dtype=np.uint64))
+                _offer_batch(shards, r, h, np.array([2], dtype=np.uint64))
+            assert dump_shards(shards, tmp_path, 0) == [1]
+            assert len(collect_corrections(shards, 0)[0]) == 0
+            assert collect_corrections(shards, 1)[0].tolist() == [55]
+        finally:
+            for s in shards:
+                ray.kill(s)
+
+    def test_random_offers_match_single_block_oracle(self, tmp_path):
         """Randomized candidates split into arbitrary batches offered in
         shuffled order == _intra_dedup_kernel over the whole table (plus
         novel = not-previously-seen)."""
@@ -199,7 +216,7 @@ class TestShardOfferProtocol:
             # pre-seed the seen set in an earlier round
             pre = np.array(sorted(pre_seen), dtype=np.uint64)
             _offer_batch(shards, 0, pre, np.zeros(len(pre), dtype=np.uint64))
-            ray.get([s.end_round.remote(0) for s in shards])
+            dump_shards(shards, tmp_path, 0)
 
             splits = np.array_split(rng.permutation(n), 9)
             intra = np.zeros(n, dtype=bool)
