@@ -233,7 +233,6 @@ def run_query_bench() -> dict[str, float]:
 
     timings: dict[str, float] = {}
     bench_queries = [
-        "q1_pricing_summary",
         "events_hourly",
         "top_spenders",
         "priority_by_region",
@@ -252,7 +251,6 @@ def run_query_bench() -> dict[str, float]:
         "ann_topk_ivf",
         "events_rank_windows",
         "events_heavy_hitters",
-        "graph_pagerank",
         # round-3 late-wave training-data flagships
         "events_profile",
         "doc_bpe_pair_counts",
@@ -265,14 +263,6 @@ def run_query_bench() -> dict[str, float]:
         # overhead, so they stay out of the sf-scaled list)
         "doc_bm25_topk",
         "doc_ks_drift",
-        "q7_nation_trade",
-        "q18_large_volume_customers",
-        # round-3 TPC-H completion wave (Q8 double hash-join, Q21
-        # semi/anti self-join, Q16 distinct-count, Q22 anti-join)
-        "q8_market_share",
-        "q21_blame_supplier",
-        "q16_supplier_variety",
-        "q22_sales_opportunity",
         # DSIR importance weighting (hashed-unigram two-pass flagship)
         "doc_dsir_weights",
         # session-3 late wave: curriculum NTILE, JSON extraction,

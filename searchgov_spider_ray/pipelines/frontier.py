@@ -116,13 +116,6 @@ class CrawlConfig:
     # 10^8+-candidate rounds. (Intra+cross dedup no longer dispatches —
     # the fused shard-offer pass is exchange-free at every size.)
     wide_round_rows: int = 4_000_000
-    # Fetched-page count above which the emit/image-landing chain runs
-    # on a worker thread OVERLAPPED with the link chain (the streaming
-    # executor multiplexes the two). Small rounds run serially: two
-    # concurrent executors on a small round just contend (measured 17 s
-    # overlapped vs 3.3 s serial on a 92 k-row round at 32 CPUs, while
-    # a 1 M-row round gains ~20% from overlap).
-    overlap_min_fetched: int = 150_000
     # Coarse politeness partitions (domains hash-bucketed; one
     # vectorized grant kernel per partition — see
     # stages/politeness.py PolitenessSelectPartition)
@@ -951,31 +944,7 @@ class CrawlJobRunner:
         ramp and tail rounds are exactly such rounds. Sinks land via
         _write_table_round (same directory layout). Parity with the
         Dataset path is pinned by running the e2e simulator suite in
-        BOTH modes (GRAFT_NO_MICRO / micro_round_rows=0)."""
-        import os
-        import time as _time
-
-        _timing = os.environ.get("GRAFT_CRAWL_TIMING")
-        _marks: list[tuple[str, float]] = []
-        _t = _time.monotonic()
-
-        def _mark(label: str) -> None:
-            nonlocal _t
-            if _timing:
-                now = _time.monotonic()
-                _marks.append((label, now - _t))
-                _t = now
-
-        def _finish(n_fetched: int) -> int:
-            if _timing:
-                total = sum(d for _, d in _marks)
-                print(
-                    f"[round {k}] fetched={n_fetched} total={total:.1f}s micro=1 "
-                    + " ".join(f"{n}={d:.1f}" for n, d in _marks),
-                    flush=True,
-                )
-            return n_fetched
-
+        BOTH modes (micro_round_rows=0 forces the Dataset path)."""
         cfg = self.cfg
         from ..stages.politeness import (
             TagGrant,
@@ -1004,27 +973,22 @@ class CrawlJobRunner:
         marked = TagGrant((all_doms, thr_all))(frontier_tab)
         granted = marked.filter(marked["granted"]).drop_columns(["granted"])
         carry = marked.filter(pc.invert(marked["granted"])).drop_columns(["granted"])
-        _mark("politeness")
 
         # 2. fetch metadata join (broadcast corpus metadata, no payloads)
         fetched = CorpusFetcher(self.corpus_ref, meta_only=True)(granted).select(
             _FETCH_META_COLS
         )
         n_fetched = len(fetched)
-        _mark("fetch")
 
         # 3. order + spent lineage
         _write_table_round(_order_rows_kernel(fetched, k), self.out_dir / "order", k)
-        _mark("order_sink")
         spent = {d: int(c) for d, c in block_grant_counts()(fetched).items()}
-        _mark("spent_lineage")
 
         # 4. emit + image landing (payload gathers as chunked raw
         # tasks) — the decode task FUTURES are submitted here but
         # gathered AFTER the link chain below, so the two payload-bound
         # stages overlap on the worker pool instead of paying two
-        # serial ray.get barriers (the micro analog of the Dataset
-        # path's emit/links thread overlap on big rounds)
+        # serial ray.get barriers
         emit = _add_round(_EmitKernel(self.site.output_target)(fetched), k)
         if self.emit_steps:
             from ..stages.steps import apply_steps_table
@@ -1049,7 +1013,6 @@ class CrawlJobRunner:
             # task launch and its payload row-group reads per chunk
             chunks = _table_chunks(img_rows, _fan_out(len(img_rows), 128, 1, slots))
             img_futs = [_warm_apply.remote([kern], c) for c in chunks]
-        _mark("emit_submit")
 
         # 5. link chain (body gathers as chunked raw tasks, running
         # concurrently with the image decode tasks submitted above)
@@ -1073,7 +1036,6 @@ class CrawlJobRunner:
                 if len(p)
             ]
             scoped = pa.concat_tables(parts).combine_chunks() if parts else None
-        _mark("links_scope")
         if img_futs:
             img_parts = [p for p in ray.get(img_futs) if len(p)]
             if img_parts:
@@ -1082,7 +1044,6 @@ class CrawlJobRunner:
                     self.out_dir / "corpus",
                     k,
                 )
-        _mark("decode_gather")
         if scoped is None or len(scoped) == 0:
             next_tab = pa.concat_tables(
                 [carry.select(FRONTIER_COLUMNS).cast(_FRONTIER_SCHEMA)]
@@ -1090,25 +1051,20 @@ class CrawlJobRunner:
             self._write_checkpoint(
                 k + 1, next_tab, {"granted": spent, "fetched": n_fetched}
             )
-            _mark("checkpoint")
-            return _finish(n_fetched)
+            return n_fetched
 
         # 6+7. fused intra-round first-wins + URL-seen membership — the
         # identical RPC protocol, one driver-side pass
         denied_tab = _DeniedKernel(k, keep_side=False)(scoped)
         cands = _DeniedKernel(k, keep_side=True)(scoped)
-        _mark("denied_split")
         if len(cands):
             packed = _pack_admission(cands)
-            _mark("pack_adm")
             # single-block mode: the whole round is ONE router call, so
             # local first-wins already made every offered hash unique —
             # corrections are empty by construction; skip both the
             # offer log (log=False) and the collect_corrections
             # all-shard barrier (one RPC round-trip saved per round)
             fixed = FusedDedupRouter(self.shards, k, log=False)(packed)
-            _mark("offer_rpc")
-            _mark("dedup_fused")
             intra_dups = _IntraDupKernel(k)(fixed)
             marked2 = fixed.filter(fixed["intra_first"])
             dup_denied = _DupDeniedKernel(k)(marked2)
@@ -1117,11 +1073,9 @@ class CrawlJobRunner:
             )
             denied_all = pa.concat_tables([denied_tab, intra_dups, dup_denied])
         else:
-            _mark("dedup_fused")
             novel_tab = _empty_frontier()
             denied_all = denied_tab
         _write_table_round(denied_all, self.out_dir / "denied", k)
-        _mark("denied_sink")
 
         # 8. admission-order seq assignment (always the narrow kernel:
         # novel is bounded by the fan-out of ≤ micro_round_rows pages)
@@ -1133,7 +1087,6 @@ class CrawlJobRunner:
                 self.depth_counters[int(dd)] = self.depth_counters.get(int(dd), 0) + int(cnt)
         else:
             nf_tab = _empty_frontier()
-        _mark("seq_assign")
         next_tab = pa.concat_tables(
             [
                 carry.select(FRONTIER_COLUMNS).cast(_FRONTIER_SCHEMA),
@@ -1141,31 +1094,12 @@ class CrawlJobRunner:
             ]
         )
         self._write_checkpoint(k + 1, next_tab, {"granted": spent, "fetched": n_fetched})
-        _mark("checkpoint")
-        return _finish(n_fetched)
+        return n_fetched
 
     def _run_round(self, k: int, slots: int) -> int:
-        import os
-        import time as _time
-
-        _timing = os.environ.get("GRAFT_CRAWL_TIMING")
-        _marks: list[tuple[str, float]] = []
-        _t = _time.monotonic()
-
-        def _mark(label: str) -> None:
-            nonlocal _t
-            if _timing:
-                now = _time.monotonic()
-                _marks.append((label, now - _t))
-                _t = now
-
         cfg = self.cfg
         rows_in = self.ckpt.read_manifest(k)["frontier_rows"]
-        if (
-            0 < cfg.micro_round_rows
-            and rows_in <= cfg.micro_round_rows
-            and not os.environ.get("GRAFT_NO_MICRO")
-        ):
+        if 0 < cfg.micro_round_rows and rows_in <= cfg.micro_round_rows:
             return self._run_round_micro(k, slots)
         frontier = rd.read_parquet(str(self.ckpt.frontier_dir(k)))
 
@@ -1249,7 +1183,6 @@ class CrawlJobRunner:
             marked = frontier.map_batches(
                 TagGrant(thr_ref), batch_format="pyarrow"
             ).materialize()
-        _mark("politeness")
         granted = marked.map_batches(
             lambda t: t.filter(t["granted"]).drop_columns(["granted"]),
             batch_format="pyarrow",
@@ -1292,7 +1225,6 @@ class CrawlJobRunner:
             lambda t: t.select(_FETCH_META_COLS), batch_format="pyarrow"
         ).materialize()
         n_fetched = fetched.count()
-        _mark("fetch")
 
         # 3. order/lineage sink (fetch order = (round, depth, seq)):
         # url_hash + int16 status per row (see _order_rows_kernel);
@@ -1302,7 +1234,6 @@ class CrawlJobRunner:
         )
         _write_round(order, self.out_dir / "order", k)
 
-        _mark("order_sink")
         # spent-per-domain lineage: per-block value_counts over the
         # materialized fetch metadata via raw block-ref tasks (no sink
         # read-back, no extra executor; same kernel as the politeness
@@ -1312,11 +1243,8 @@ class CrawlJobRunner:
             for dom, cnt in part.items():
                 spent[dom] = spent.get(dom, 0) + cnt
 
-        _mark("spent_lineage")
-        # 4. emit + image payload landing — launched on a worker thread
-        # so the image attach/decode/write (partly storage-bound) overlaps
-        # the CPU-bound link chain below; both consume independent lazy
-        # views and the streaming executor multiplexes them.
+        # 4. emit + image payload landing, then the link chain below;
+        # both read the materialized fetch metadata / granted rows.
         def _emit_and_decode() -> None:
             emit = fetched.map_batches(
                 _EmitKernel(self.site.output_target), batch_format="pyarrow"
@@ -1386,54 +1314,35 @@ class CrawlJobRunner:
             )
             _write_round(image_rows, self.out_dir / "corpus", k)
 
-        import concurrent.futures as _cf
+        _emit_and_decode()
 
-        # Overlap emit/decode with the link chain via a worker thread
-        # ONLY on big rounds (both are independent lazy views; the
-        # streaming executor multiplexes them — a win at 1 M rows,
-        # pure contention on small rounds; see overlap_min_fetched).
-        # GRAFT_NO_OVERLAP=1 forces serial for A/B measurement.
-        _serial = (
-            n_fetched < cfg.overlap_min_fetched
-            or bool(os.environ.get("GRAFT_NO_OVERLAP"))
-        )
-        with _cf.ThreadPoolExecutor(1) as _pool:
-            if _serial:
-                _emit_and_decode()
-                _mark("emit_decode_serial")
-                emit_future = _pool.submit(lambda: None)
-            else:
-                emit_future = _pool.submit(_emit_and_decode)
-            # 5. link extraction → canonicalize → scope/robots as one
-            # FUSED task chain: body join → 200-filter → extract →
-            # canon/scope. Bodies exist only transiently inside each
-            # task; what materializes is the narrow scoped-candidate
-            # table. (Only 200-status pages parse — non-200 responses
-            # yield neither items nor links, reference CrawlSpider
-            # semantics.) prevent_follow mode (reference
-            # domain_spider.py:74-76) skips the link chain entirely:
-            # fetch + emit only, no candidates, no link denials.
-            # JS sites route bodies through the render step (reference
-            # picks DomainSpiderJs by the handle_javascript flag)
-            fetcher_cls = JsFetcher if self.site.handle_javascript else CorpusFetcher
-            if self.site.prevent_follow:
-                scoped = None
-            else:
-                scoped = granted.map_batches(
-                    fetcher_cls(self.corpus_ref),
-                    batch_format="pyarrow",
-                    batch_size=cfg.fetch_batch_size,
-                ).map_batches(
-                    lambda t: t.filter(pc.equal(t["status"], pa.scalar(200, type=pa.int16()))),
-                    batch_format="pyarrow",
-                ).map_batches(
-                    extract_links_batch, batch_format="pyarrow", batch_size=cfg.link_batch_size
-                ).map_batches(
-                    _CanonScope(self.scope, self.robots), batch_format="pyarrow"
-                ).materialize()
-            _mark("links_scope")
-            emit_future.result()  # surface worker-thread failures
-        _mark("emit_decode")
+        # 5. link extraction → canonicalize → scope/robots as one
+        # FUSED task chain: body join → 200-filter → extract →
+        # canon/scope. Bodies exist only transiently inside each
+        # task; what materializes is the narrow scoped-candidate
+        # table. (Only 200-status pages parse — non-200 responses
+        # yield neither items nor links, reference CrawlSpider
+        # semantics.) prevent_follow mode (reference
+        # domain_spider.py:74-76) skips the link chain entirely:
+        # fetch + emit only, no candidates, no link denials.
+        # JS sites route bodies through the render step (reference
+        # picks DomainSpiderJs by the handle_javascript flag)
+        fetcher_cls = JsFetcher if self.site.handle_javascript else CorpusFetcher
+        if self.site.prevent_follow:
+            scoped = None
+        else:
+            scoped = granted.map_batches(
+                fetcher_cls(self.corpus_ref),
+                batch_format="pyarrow",
+                batch_size=cfg.fetch_batch_size,
+            ).map_batches(
+                lambda t: t.filter(pc.equal(t["status"], pa.scalar(200, type=pa.int16()))),
+                batch_format="pyarrow",
+            ).map_batches(
+                extract_links_batch, batch_format="pyarrow", batch_size=cfg.link_batch_size
+            ).map_batches(
+                _CanonScope(self.scope, self.robots), batch_format="pyarrow"
+            ).materialize()
         if scoped is None:
             next_frontier = carry.map_batches(
                 lambda t: t.select(FRONTIER_COLUMNS), batch_format="pyarrow"
@@ -1481,7 +1390,6 @@ class CrawlJobRunner:
         fixed = offered.map_batches(CorrectionFix(corr_ref), batch_format="pyarrow")
         n_novel = int(sum(ray.get([s.size.remote() for s in self.shards]))) - seen_before
         wide = n_novel > cfg.wide_round_rows
-        _mark("dedup_fused")
         intra_dups = fixed.map_batches(_IntraDupKernel(k), batch_format="pyarrow")
         marked2 = fixed.map_batches(
             lambda t: t.filter(t["intra_first"]), batch_format="pyarrow"
@@ -1493,78 +1401,58 @@ class CrawlJobRunner:
         )
 
         # one denial-lineage write per round: scope/robots ∪ intra-round
-        # dups ∪ cross-round dups (same schema, single sink execution).
-        # On big rounds it runs on a worker thread OVERLAPPED with seq
-        # assignment — both are independent lazy views over the
-        # materialized offer table; joined before the checkpoint write
-        # so a completed manifest always implies complete lineage.
-        def _write_denied() -> None:
-            _write_round(denied.union(intra_dups, dup_denied), self.out_dir / "denied", k)
+        # dups ∪ cross-round dups (same schema, single sink execution),
+        # written before the checkpoint so a completed manifest always
+        # implies complete lineage.
+        _write_round(denied.union(intra_dups, dup_denied), self.out_dir / "denied", k)
 
-        _overlap_denied = (
-            n_scoped >= cfg.overlap_min_fetched
-            and not os.environ.get("GRAFT_NO_OVERLAP")
-        )
-        with _cf.ThreadPoolExecutor(1) as _dpool:
-            if _overlap_denied:
-                denied_future = _dpool.submit(_write_denied)
+        # 8. admission-order seq assignment
+        counters = dict(self.depth_counters)
+        if wide:
+            # block-level prefix sum over a distributed sort
+            new_frontier = _assign_seq_wide(novel, counters, has_adm_key=True).materialize()
+            # per-depth counts via raw block-ref tasks (no Aggregate
+            # exchange, no executor spin-up)
+            def _depth_counts(t: pa.Table) -> dict[int, int]:
+                if len(t) == 0:
+                    return {}
+                vals, cnts = np.unique(t["depth"].to_numpy(), return_counts=True)
+                return {int(v): int(c) for v, c in zip(vals, cnts)}
+
+            for part in _map_block_refs(new_frontier, _depth_counts):
+                for dd, cnt in part.items():
+                    self.depth_counters[dd] = self.depth_counters.get(dd, 0) + cnt
+        else:
+            # narrow rounds: gather the novel rows (bounded by
+            # wide_round_rows) via raw block-ref tasks and run the
+            # single-block kernel driver-side — no repartition(1)
+            # exchange, no extra executor, and depth counters come
+            # straight off the result table
+            fix2 = CorrectionFix(corr_ref)
+
+            def _novel_tab(t: pa.Table) -> pa.Table:
+                if len(t) == 0:  # Ray can emit column-less empty blocks
+                    return t
+                ft = fix2(t)
+                keep = pc.and_(ft["intra_first"], ft["novel"])
+                return ft.filter(keep).drop_columns(["novel", "intra_first"])
+
+            tabs = [t for t in _map_block_refs(offered, _novel_tab) if len(t)]
+            if tabs:
+                novel_tab = pa.concat_tables(tabs).combine_chunks()
+                nf_tab = _assign_seq_kernel(novel_tab, counters)
             else:
-                _write_denied()
-                denied_future = _dpool.submit(lambda: None)
-            _mark("denied_sink")
-            # 8. admission-order seq assignment
-            counters = dict(self.depth_counters)
-            if wide:
-                # block-level prefix sum over a distributed sort
-                new_frontier = _assign_seq_wide(novel, counters, has_adm_key=True).materialize()
-                # per-depth counts via raw block-ref tasks (no Aggregate
-                # exchange, no executor spin-up)
-                def _depth_counts(t: pa.Table) -> dict[int, int]:
-                    if len(t) == 0:
-                        return {}
-                    vals, cnts = np.unique(t["depth"].to_numpy(), return_counts=True)
-                    return {int(v): int(c) for v, c in zip(vals, cnts)}
+                nf_tab = _empty_frontier()
+            if len(nf_tab):
+                vals, cnts = np.unique(nf_tab["depth"].to_numpy(), return_counts=True)
+                for dd, cnt in zip(vals, cnts):
+                    self.depth_counters[int(dd)] = self.depth_counters.get(int(dd), 0) + int(cnt)
+            new_frontier = rd.from_arrow(nf_tab)
 
-                for part in _map_block_refs(new_frontier, _depth_counts):
-                    for dd, cnt in part.items():
-                        self.depth_counters[dd] = self.depth_counters.get(dd, 0) + cnt
-            else:
-                # narrow rounds: gather the novel rows (bounded by
-                # wide_round_rows) via raw block-ref tasks and run the
-                # single-block kernel driver-side — no repartition(1)
-                # exchange, no extra executor, and depth counters come
-                # straight off the result table
-                fix2 = CorrectionFix(corr_ref)
-
-                def _novel_tab(t: pa.Table) -> pa.Table:
-                    if len(t) == 0:  # Ray can emit column-less empty blocks
-                        return t
-                    ft = fix2(t)
-                    keep = pc.and_(ft["intra_first"], ft["novel"])
-                    return ft.filter(keep).drop_columns(["novel", "intra_first"])
-
-                tabs = [t for t in _map_block_refs(offered, _novel_tab) if len(t)]
-                if tabs:
-                    novel_tab = pa.concat_tables(tabs).combine_chunks()
-                    nf_tab = _assign_seq_kernel(novel_tab, counters)
-                else:
-                    nf_tab = _empty_frontier()
-                if len(nf_tab):
-                    vals, cnts = np.unique(nf_tab["depth"].to_numpy(), return_counts=True)
-                    for dd, cnt in zip(vals, cnts):
-                        self.depth_counters[int(dd)] = self.depth_counters.get(int(dd), 0) + int(cnt)
-                new_frontier = rd.from_arrow(nf_tab)
-            denied_future.result()
-
-        _mark("seq_assign")
         next_frontier = carry.map_batches(
             lambda t: t.select(FRONTIER_COLUMNS), batch_format="pyarrow"
         ).union(new_frontier)
         self._write_checkpoint(k + 1, next_frontier, {"granted": spent, "fetched": n_fetched})
-        _mark("checkpoint")
-        if _timing:
-            total = sum(d for _, d in _marks)
-            print(f"[round {k}] fetched={n_fetched} total={total:.1f}s " + " ".join(f"{n}={d:.1f}" for n, d in _marks), flush=True)
         return n_fetched
 
 

@@ -73,6 +73,17 @@ def test_query_matches_oracle(name, ray_session, sf_dir, oracle_con):
     assert _value_hash(mine) == _value_hash(theirs)
 
 
+def test_driver_window_is_oracle_backed():
+    """The driver samples the first 50 queries() keys for its oracle
+    compare, so each of them must have an oracle_sql() entry."""
+    import __ray_entry__ as e
+
+    head = list(e.queries())[:50]
+    assert len(head) == 50
+    oracles = e.oracle_sql()
+    assert [n for n in head if n not in oracles] == []
+
+
 class TestForcedWideDispatch:
     """Queries with a narrow (broadcast) / wide (hash-partitioned join)
     dispatch must produce identical results on both paths — the same
@@ -105,17 +116,6 @@ class TestForcedWideDispatch:
         assert len(wide) == len(theirs) and len(wide) > 0
         assert _value_hash(wide) == _value_hash(theirs)
 
-    def test_q13_customer_distribution_wide(self, ray_session, sf_dir, oracle_con):
-        from searchgov_spider_ray.pipelines import queries as q
-        import __ray_entry__ as e
-
-        wide = _to_df(q.q13_customer_distribution(sf_dir, wide_customer_rows=0))
-        theirs = oracle_con.execute(
-            e.oracle_sql()["q13_customer_distribution"]
-        ).fetchdf()
-        assert len(wide) == len(theirs) and len(wide) > 0
-        assert _value_hash(wide) == _value_hash(theirs)
-
     def test_embedding_knn_join_wide(self, ray_session, sf_dir, oracle_con):
         from searchgov_spider_ray.pipelines import queries as q
         import __ray_entry__ as e
@@ -144,15 +144,6 @@ class TestForcedWideDispatch:
 
         wide = _to_df(q.customers_rfm(sf_dir, wide_customer_rows=0))
         theirs = oracle_con.execute(e.oracle_sql()["customers_rfm"]).fetchdf()
-        assert len(wide) == len(theirs) and len(wide) > 0
-        assert _value_hash(wide) == _value_hash(theirs)
-
-    def test_q7_nation_trade_wide(self, ray_session, sf_dir, oracle_con):
-        from searchgov_spider_ray.pipelines import queries as q
-        import __ray_entry__ as e
-
-        wide = _to_df(q.q7_nation_trade(sf_dir, wide_customer_rows=0))
-        theirs = oracle_con.execute(e.oracle_sql()["q7_nation_trade"]).fetchdf()
         assert len(wide) == len(theirs) and len(wide) > 0
         assert _value_hash(wide) == _value_hash(theirs)
 
@@ -578,52 +569,6 @@ def test_heavy_hitters_mg_compaction_path(ray_session, tmp_path):
     assert list(out["n"]) == [2_000]
 
 
-def test_graph_pagerank_wide_parity(ray_session, sf_dir, oracle_con):
-    """Forced wide-path PageRank (hash-partitioned per-iteration joins)
-    must match the narrow single-kernel path and the unrolled-CTE
-    oracle bit-for-bit."""
-    import __ray_entry__ as e
-    from searchgov_spider_ray.pipelines.queries import graph_pagerank
-
-    wide = _to_df(graph_pagerank(sf_dir, wide=True))
-    narrow = _to_df(graph_pagerank(sf_dir, wide=False))
-    theirs = oracle_con.execute(e.oracle_sql()["graph_pagerank"]).fetchdf()
-    assert _value_hash(wide) == _value_hash(narrow)
-    assert _value_hash(wide) == _value_hash(theirs)
-
-
-def test_graph_bfs_wide_parity(ray_session, sf_dir, oracle_con):
-    """Forced wide-path BFS (per-hop hash joins) must match the narrow
-    CSR kernel and the unrolled Bellman-Ford oracle exactly."""
-    import __ray_entry__ as e
-    from searchgov_spider_ray.pipelines.queries import graph_bfs_depths
-
-    wide = _to_df(graph_bfs_depths(sf_dir, wide=True))
-    narrow = _to_df(graph_bfs_depths(sf_dir, wide=False))
-    theirs = oracle_con.execute(e.oracle_sql()["graph_bfs_depths"]).fetchdf()
-    assert _value_hash(wide) == _value_hash(narrow)
-    assert _value_hash(wide) == _value_hash(theirs)
-
-
-def test_fuzzy_pairs_every_planted_typo_found(ray_session, sf_dir):
-    """Each planted typo (p_partkey % 50 == 0 -> +1000000, last char
-    dropped) shares its original's first-4 prefix and sits at edit
-    distance exactly 1 -> the blocked join must surface EVERY planted
-    (k, k+1000000) pair, not just some."""
-    import duckdb
-
-    from searchgov_spider_ray.pipelines.queries import part_name_fuzzy_pairs
-
-    out = _to_df(part_name_fuzzy_pairs(sf_dir))
-    pairs = set(zip(out["part_a"], out["part_b"]))
-    planted = duckdb.sql(
-        f"SELECT p_partkey FROM read_parquet('{sf_dir}/part.parquet') "
-        "WHERE p_partkey % 50 = 0"
-    ).fetchdf()["p_partkey"]
-    for k in planted:
-        assert (int(k), int(k) + 1000000) in pairs, k
-
-
 def test_inverted_index_postings_sorted_and_df_consistent(ray_session, sf_dir):
     from searchgov_spider_ray.pipelines.queries import doc_inverted_index
 
@@ -783,54 +728,6 @@ def test_doc_bpe_pack_windows_replay(ray_session, sf_dir):
     # windows tile the corpus: every window except the last is full
     per_win = got.groupby("window_id")["n_toks"].sum()
     assert (per_win.iloc[:-1] == cap).all()
-
-
-def test_q8_forced_wide_parity(ray_session, sf_dir):
-    """q8's broadcast (narrow) and hash-join (wide) order-side paths
-    must agree exactly — force the wide path with a zero threshold."""
-    import searchgov_spider_ray.pipelines.queries as q
-
-    narrow = (
-        _to_df(q.q8_market_share(sf_dir)).sort_values("o_year").reset_index(drop=True)
-    )
-    wide = (
-        _to_df(q.q8_market_share(sf_dir, wide_order_rows=0))
-        .sort_values("o_year")
-        .reset_index(drop=True)
-    )
-    assert len(narrow) == len(wide) > 0
-    for c in ["o_year", "nation_cents", "total_cents", "mkt_share_micros"]:
-        assert list(narrow[c]) == list(wide[c]), c
-
-
-def test_q21_forced_wide_parity(ray_session, sf_dir):
-    """q21's broadcast-filter (narrow) and hash-join (wide) F-order
-    paths must agree exactly."""
-    import searchgov_spider_ray.pipelines.queries as q
-
-    narrow = (
-        _to_df(q.q21_blame_supplier(sf_dir)).sort_values("s_suppkey").reset_index(drop=True)
-    )
-    wide = (
-        _to_df(q.q21_blame_supplier(sf_dir, wide_forder_rows=0))
-        .sort_values("s_suppkey")
-        .reset_index(drop=True)
-    )
-    assert len(narrow) == len(wide) > 0
-    for c in ["s_suppkey", "s_name", "numwait"]:
-        assert list(narrow[c]) == list(wide[c]), c
-
-
-def test_q7_forced_wide_orders_parity(ray_session, sf_dir):
-    """q7's broadcast (orderkey→cust_code) narrow path and the
-    hash-join wide path must agree exactly."""
-    import searchgov_spider_ray.pipelines.queries as q
-
-    narrow = q.q7_nation_trade(sf_dir).reset_index(drop=True)
-    wide = q.q7_nation_trade(sf_dir, wide_order_rows=0).reset_index(drop=True)
-    assert len(narrow) == len(wide) > 0
-    for c in ["supp_nation", "cust_nation", "revenue_cents"]:
-        assert list(narrow[c]) == list(wide[c]), c
 
 
 def test_hamming_banded_hot_band_salted_degenerate_corpus(

@@ -455,27 +455,6 @@ def test_simhash_pairs_kernel_oversized_bucket_stays_connected():
     assert set(out["hamming"].to_pylist()) == {0}
 
 
-def test_bfs_depths_sources_outside_graph_id_range():
-    """Seed ids above the max node id made searchsorted return
-    len(nodes) and IndexError on the nodes[cur] gather; below-range and
-    interior-missing ids must also be dropped, not mapped to a
-    neighbouring node."""
-    import numpy as np
-    import pandas as pd
-
-    from searchgov_spider_ray.pipelines.graph import bfs_depths
-
-    edges = pd.DataFrame({"src": [10, 20, 20], "dst": [20, 30, 40]})
-    # 99 > max node id (crash before the guard); 1 < min; 15 interior-missing
-    out = bfs_depths(edges, np.array([10, 99, 1, 15], dtype=np.int64))
-    got = dict(zip(out["node_id"], out["dist"]))
-    assert got == {10: 0, 20: 1, 30: 2, 40: 2}
-
-    # all sources foreign -> empty result, no crash
-    empty = bfs_depths(edges, np.array([99, 1], dtype=np.int64))
-    assert len(empty) == 0
-
-
 class TestKnnSelfJoin:
     def test_matches_numpy_and_excludes_self(self, emb_ds):
         out = training.knn_self_join(emb_ds, k=3).to_pandas()
