@@ -233,7 +233,6 @@ def run_query_bench() -> dict[str, float]:
 
     timings: dict[str, float] = {}
     bench_queries = [
-        "events_hourly",
         "top_spenders",
         "priority_by_region",
         "doc_dedup_summary",
@@ -242,17 +241,10 @@ def run_query_bench() -> dict[str, float]:
         "doc_dup_clusters",
         "doc_curation_pipeline",
         "doc_top_terms",
-        "events_asof_attribution",
-        "events_range_join",
-        "events_user_hll",
-        "events_funnel",
         "doc_pack_windows",
         "ann_topk_brute",
         "ann_topk_ivf",
-        "events_rank_windows",
-        "events_heavy_hitters",
         # round-3 late-wave training-data flagships
-        "events_profile",
         "doc_bpe_pair_counts",
         "embedding_pq_codes",
         "doc_unigram_perplexity",
@@ -265,16 +257,12 @@ def run_query_bench() -> dict[str, float]:
         "doc_ks_drift",
         # DSIR importance weighting (hashed-unigram two-pass flagship)
         "doc_dsir_weights",
-        # session-3 late wave: curriculum NTILE, JSON extraction,
-        # kNN auto-labeling
+        # session-3 late wave: curriculum NTILE, kNN auto-labeling
         "doc_curriculum_manifest",
-        "events_json_stats",
         "embedding_knn_classify",
-        # round-4 wave: RAG chunk expansion, Gopher gates, latest-wins
-        # compaction (post coarse-partition fix), ANN recall eval
+        # round-4 wave: RAG chunk expansion, Gopher gates, ANN recall eval
         "doc_chunk_overlap",
         "doc_gopher_quality_gates",
-        "events_latest_per_user",
         "ann_recall_eval",
     ]
     for name in bench_queries:

@@ -21,7 +21,7 @@ import duckdb
 import pandas as pd
 
 TABLES = [
-    "region", "nation", "customer", "supplier", "part",
+    "region", "nation", "customer",
     "orders", "lineitem", "events", "documents", "embeddings",
 ]
 

@@ -1,18 +1,13 @@
-"""HyperLogLog distinct-count sketch (Flajolet et al. 2007, public
-construction) — the shuffle-free way to count distinct keys at 100 TB:
-each batch folds into a 2^p-register array, registers max-merge
-associatively across batches/blocks/nodes, and only the tiny register
-table ever moves. The reference has no approximate counting (its
-monitors count exactly at single-node scale, search_gov_crawler/
-elasticsearch/monitors analog); this is a training-data-scale addition.
+"""Bloom filter (Bloom 1970, public construction): set membership with
+one-sided error — a present key ALWAYS hits, an absent key hits with
+probability ~(1-e^{-kn/m})^k. Build once over the reference set (only
+distinct-bit rows shuffle, never keys), broadcast the 4 KB dense bitset
+with ray.put, and probe any number of rows map_batches-side with zero
+further exchanges.
 
-Everything up to the float estimate is INTEGER-exact and deterministic
-(splitmix64 avalanche over salted keys, leading-zero rank via a
-power-of-two searchsorted), so the register table itself is replayable
-bit-for-bit in SQL (DuckDB: the same mulmod/avalanche chain, then
-``instr(lpad(bin(w), 52, '0'), '1')`` for the rank) — the oracle checks
-the sketch STATE, not just its estimate. The float estimate on top is
-pinned by pytest against exact distinct counts.
+Every bit position is pure integer arithmetic over a salted splitmix64
+avalanche, so a SQL oracle replays every bit position and every
+membership verdict bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,66 +16,9 @@ import numpy as np
 
 from .simdedup import _avalanche
 
-HLL_P = 12  # 4096 registers: ~1.6% standard error, 4 KB state
-HLL_M = 1 << HLL_P
-_W_BITS = 64 - HLL_P
-# xxHash64 prime 2 — public constant, distinct from the sampler salt so
-# sketch buckets don't correlate with sample selection
-HLL_SALT = np.uint64(0xC2B2AE3D27D4EB4F)
-_POW2 = np.uint64(1) << np.arange(_W_BITS, dtype=np.uint64)
-_W_MASK = np.uint64((1 << _W_BITS) - 1)
-
-
-def hll_partial(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fold a key batch into sparse registers: returns (bucket, rho_max)
-    for the non-empty buckets only. Pure integer ops, vectorized."""
-    h = _avalanche(keys.astype(np.uint64) * HLL_SALT)
-    bucket = (h >> np.uint64(_W_BITS)).astype(np.int64)
-    w = h & _W_MASK
-    # bit_length(w) via power-of-two searchsorted — exact, no float log
-    bitlen = np.searchsorted(_POW2, w, side="right")
-    rho = (_W_BITS + 1 - bitlen).astype(np.int64)
-    regs = np.zeros(HLL_M, dtype=np.int64)
-    np.maximum.at(regs, bucket, rho)
-    nz = np.flatnonzero(regs)
-    return nz, regs[nz]
-
-
-def hll_merge(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Max-merge sparse partials into a dense 2^p register array."""
-    regs = np.zeros(HLL_M, dtype=np.int64)
-    for bucket, rho in parts:
-        np.maximum.at(regs, bucket, rho)
-    return regs
-
-
-def hll_estimate(regs: np.ndarray) -> float:
-    """Standard HLL estimate with small-range (linear counting)
-    correction; no large-range correction needed for 64-bit hashes."""
-    m = float(HLL_M)
-    alpha = 0.7213 / (1.0 + 1.079 / m)
-    est = alpha * m * m / np.sum(np.power(2.0, -regs.astype(np.float64)))
-    zeros = int(np.count_nonzero(regs == 0))
-    if zeros and est <= 2.5 * m:
-        est = m * np.log(m / zeros)
-    return float(est)
-
-
-# ---------------------------------------------------------------------------
-# Count-Min sketch (Cormode & Muthukrishnan 2005, public construction):
-# frequency estimation with one-sided error — est(k) >= true(k), over-
-# count bounded by e*N/CMS_W per row, min across CMS_D rows. Like HLL
-# above, the register state is pure integer arithmetic over the salted
-# splitmix64 avalanche, so a SQL oracle replays every register AND the
-# min-estimate bit-for-bit. Partials are associative (per-batch dense
-# (D, W) int64 adds, ~32 KB each) — only register tables ever shuffle,
-# never keys, which is what makes the sketch usable at 10^10 keys.
-# ---------------------------------------------------------------------------
-
-CMS_D = 4
-CMS_W = 1024
 # four distinct odd 64-bit mix constants (xxHash64 primes 1/3/5 + the
-# splitmix64 golden-gamma) — one independent avalanche chain per row
+# splitmix64 golden-gamma) — one independent avalanche chain per hash
+# function
 CMS_SALTS = np.array(
     [
         0x9E3779B97F4A7C15,  # splitmix64 gamma
@@ -90,48 +28,6 @@ CMS_SALTS = np.array(
     ],
     dtype=np.uint64,
 )
-
-
-def cms_cols(keys: np.ndarray) -> np.ndarray:
-    """(CMS_D, n) register column per key per row: column i of row r is
-    avalanche(key * CMS_SALTS[r]) mod CMS_W. Vectorized, integer-exact."""
-    k = keys.astype(np.uint64)
-    return np.stack(
-        [(_avalanche(k * s) % np.uint64(CMS_W)).astype(np.int64) for s in CMS_SALTS]
-    )
-
-
-def cms_partial(keys: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Fold a key batch into a dense (CMS_D, CMS_W) int64 register
-    partial; merge across batches is elementwise sum (associative)."""
-    cols = cms_cols(keys)
-    w = None if weights is None else weights.astype(np.int64)
-    regs = np.zeros((CMS_D, CMS_W), dtype=np.int64)
-    for r in range(CMS_D):
-        regs[r] = np.bincount(cols[r], weights=w, minlength=CMS_W).astype(np.int64)
-    return regs
-
-
-def cms_estimate(regs: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Point-query estimates: min over rows of the key's register —
-    integer, deterministic, always >= the true count."""
-    cols = cms_cols(keys)
-    return np.min(
-        np.stack([regs[r, cols[r]] for r in range(CMS_D)]), axis=0
-    ).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Bloom filter (Bloom 1970, public construction): set membership with
-# one-sided error — a present key ALWAYS hits, an absent key hits with
-# probability ~(1-e^{-kn/m})^k. The training-data use case is scale
-# decontamination / seen-set probing: build once over the reference
-# set (only distinct-bit rows shuffle, never keys), broadcast the 4 KB
-# dense bitset with ray.put, and probe billions of rows map_batches-
-# side with zero further exchanges. Same salted-avalanche chains as
-# the Count-Min sketch above, so the SQL oracle replays every bit
-# position and every membership verdict bit-for-bit.
-# ---------------------------------------------------------------------------
 
 BLOOM_M = 1 << 15  # 32768 bits = 4 KB dense; ~1.2% FP at 2k keys, k=4
 BLOOM_K = len(CMS_SALTS)

@@ -80,10 +80,6 @@ _LANG_VNORMS = np.array(
 )
 
 
-def _pack3(codes: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    return (codes[pos] << np.uint64(42)) | (codes[pos + 1] << np.uint64(21)) | codes[pos + 2]
-
-
 def _prof_tables() -> tuple[np.ndarray, np.ndarray]:
     keys = sorted({g for vec in _LANG_VECS.values() for g in vec})
     karr = np.empty(len(keys), dtype=np.uint64)

@@ -886,7 +886,7 @@ class CrawlJobRunner:
             manifest = self.ckpt.read_manifest(k)
             if manifest is None or manifest["frontier_rows"] == 0:
                 break
-            fetched_count = self._run_round(k, slots)
+            fetched_count = self._run_round(k, manifest["frontier_rows"], slots)
             per_round.append(fetched_count)
             total_fetched += fetched_count
             k += 1
@@ -1096,9 +1096,8 @@ class CrawlJobRunner:
         self._write_checkpoint(k + 1, next_tab, {"granted": spent, "fetched": n_fetched})
         return n_fetched
 
-    def _run_round(self, k: int, slots: int) -> int:
+    def _run_round(self, k: int, rows_in: int, slots: int) -> int:
         cfg = self.cfg
-        rows_in = self.ckpt.read_manifest(k)["frontier_rows"]
         if 0 < cfg.micro_round_rows and rows_in <= cfg.micro_round_rows:
             return self._run_round_micro(k, slots)
         frontier = rd.read_parquet(str(self.ckpt.frontier_dir(k)))
@@ -1343,7 +1342,11 @@ class CrawlJobRunner:
             ).map_batches(
                 _CanonScope(self.scope, self.robots), batch_format="pyarrow"
             ).materialize()
-        if scoped is None:
+        # no link candidates (prevent_follow, or nothing scoped): the
+        # next frontier is the carry alone. count() on the MATERIALIZED
+        # scoped table is free (block metadata); counting the keep-side
+        # filter would spin another executor.
+        if scoped is None or scoped.count() == 0:
             next_frontier = carry.map_batches(
                 lambda t: t.select(FRONTIER_COLUMNS), batch_format="pyarrow"
             )
@@ -1351,20 +1354,12 @@ class CrawlJobRunner:
             return n_fetched
         denied = scoped.map_batches(_DeniedKernel(k, keep_side=False), batch_format="pyarrow")
         cands = scoped.map_batches(_DeniedKernel(k, keep_side=True), batch_format="pyarrow")
-        # count() on the MATERIALIZED scoped table is free (block
-        # metadata); counting the keep-side filter would spin another
-        # executor. Used only for the empty-round early exit.
-        n_scoped = scoped.count()
-        if n_scoped == 0:
-            next_frontier = carry.map_batches(lambda t: t.select(FRONTIER_COLUMNS), batch_format="pyarrow")
-            self._write_checkpoint(k + 1, next_frontier, {"granted": spent, "fetched": n_fetched})
-            return n_fetched
         # wide-dispatch decides AFTER the dedup pass on the EXACT novel
         # count (shard-size delta, one RPC per shard — the audit sets
         # count distinct admitted hashes): seq assignment only sorts the
-        # novel rows, and dispatching on n_scoped (links, 10-20× larger)
-        # forced the sort exchange on rounds whose novel set fits one
-        # task's lexsort comfortably.
+        # novel rows, and dispatching on the scoped count (links, 10-20×
+        # larger) forced the sort exchange on rounds whose novel set fits
+        # one task's lexsort comfortably.
         seen_before = int(sum(ray.get([s.size.remote() for s in self.shards])))
 
         # 6+7. FUSED intra-round first-wins + URL-seen membership in ONE

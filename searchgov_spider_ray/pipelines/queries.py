@@ -8,8 +8,8 @@ passage, n-gram), text statistics and training-data sampling/packing,
 embedding ANN/kNN, and the rows-only crawl, image and multimodal
 pipelines (no SQL equivalent; pytest pins them against fixtures and the
 simulator). The rest are aggregates over the fixtures' warehouse tables:
-the ``events`` stream (windows, sessions, funnels, sketches) and the
-``orders``/``customer`` tables (rollups, joins, anti-joins).
+the ``orders``/``customer`` tables (rollups, joins, anti-joins); a few also
+read the ``events`` user ids.
 
 Float discipline: every float aggregate is converted to fixed-point
 PER ROW (``floor(x*scale + 0.5)`` — identical IEEE double arithmetic in
@@ -25,7 +25,6 @@ per input row.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 
@@ -241,8 +240,8 @@ def customers_rfm(sf_dir: str, wide_customer_rows: int = 20_000_000):
     quartiles WITHIN the customer's nation (segment relative to the
     local market — and the partition key that keeps the window
     distributed: nation groups are bounded, so each NTILE completes
-    inside one coarse partition, the events_value_ntile discipline;
-    a global NTILE would need a full sort + prefix-sum rank pass).
+    inside one coarse partition; a global NTILE would need a full sort
+    + prefix-sum rank pass).
     Orders pre-aggregate per (block, custkey) before the exchange; the
     customer→nation attachment broadcasts below ``wide_customer_rows``
     and routes through hash_join above (priority_by_region dispatch).
@@ -406,32 +405,8 @@ def orders_with_building_customer(sf_dir: str, n_parts: int = 32):
 
 
 # --------------------------------------------------------------------------
-# events: stream-shaped windowed aggregate
+# events: anti-join over the event log
 # --------------------------------------------------------------------------
-
-
-def events_hourly(sf_dir: str):
-    """Tumbling 1-hour window per user (stream-shaped groupby; the
-    window key is computed vectorized per batch)."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["ts"].notna()]  # oracle: WHERE ts IS NOT NULL
-        df = df.assign(
-            window_start=df["ts"].dt.floor("h"),
-            # NULL value contributes 0 (oracle COALESCE) — floor(NaN)
-            # would otherwise poison the sum with INT64_MIN
-            value_micros=_micros(df["value"].fillna(0.0)),
-        )
-        return df.groupby(["user_id", "window_start"], as_index=False).agg(
-            n_events=("value_micros", "size"), sum_value_micros=("value_micros", "sum")
-        )
-
-    return _combine_partials(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["user_id", "window_start"],
-        ["n_events", "sum_value_micros"],
-    )
 
 
 def users_first_seen_late(sf_dir: str, broadcast_below: int = 2_000_000):
@@ -1155,193 +1130,6 @@ def orders_rollup(sf_dir: str):
     return base.map_batches(rollup, batch_format="pandas", batch_size=None)
 
 
-def _add_user_part(df: pd.DataFrame, n_parts: int = 64) -> pd.DataFrame:
-    df = df.copy()
-    df["part"] = (
-        pd.util.hash_array(df["user_id"].to_numpy(np.int64)) % np.uint64(n_parts)
-    ).astype(np.int32)
-    return df
-
-
-def events_sessions(sf_dir: str):
-    """Gap-based sessionization: per-user sessions split on >30 min
-    idle gaps. One coarse hash exchange by user, then ONE vectorized
-    run-detection kernel per PARTITION (sort by (user, ts), boundary =
-    user change or gap, segment reduce) — no per-user Python call."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def sessions(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.sort_values(["user_id", "ts"], kind="mergesort")
-        uid = g["user_id"].to_numpy(np.int64)
-        ts = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        n = len(g)
-        if n == 0:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "session_start": pd.Series([], dtype="datetime64[us]"),
-                    "n_events": pd.Series([], dtype="int64"),
-                    "duration_us": pd.Series([], dtype="int64"),
-                }
-            )
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = (uid[1:] != uid[:-1]) | (ts[1:] - ts[:-1] > 1_800_000_000)
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], n)
-        return pd.DataFrame(
-            {
-                "user_id": uid[starts],
-                "session_start": ts[starts].astype("datetime64[us]"),
-                "n_events": (ends - starts).astype("int64"),
-                "duration_us": (ts[ends - 1] - ts[starts]).astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(sessions, batch_format="pandas")
-    )
-
-
-def events_sliding_counts(sf_dir: str):
-    """Sliding-window aggregate (RANGE frame): for every event, the
-    count and fixed-point value sum of the same user's events in the
-    trailing hour — SQL's ``COUNT(*) OVER (PARTITION BY user_id ORDER
-    BY ts RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)``
-    computed with ONE fully vectorized kernel per coarse hash
-    PARTITION (not per user): sort by (user, ts), then remap each
-    user's timestamps onto a disjoint monotone axis (cumulative
-    per-user offset > window width) so two global ``searchsorted``
-    probes + a cumsum answer every user's frames at once — no per-user
-    Python, no quadratic rescans. One shuffle; O(n log n) per
-    partition."""
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    WIN = 3_600_000_000  # 1 hour in µs
-
-    def windows(part: pd.DataFrame) -> pd.DataFrame:
-        part = part[part["ts"].notna()]  # oracle: WHERE ts IS NOT NULL
-        g = part.sort_values(["user_id", "ts"], kind="mergesort")
-        n = len(g)
-        if n == 0:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "user_id": pd.Series([], dtype="int64"),
-                    "cnt_1h": pd.Series([], dtype="int64"),
-                    "sum_value_micros_1h": pd.Series([], dtype="int64"),
-                }
-            )
-        uid = g["user_id"].to_numpy(np.int64)
-        ts = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        vm = _micros(g["value"].fillna(0.0))  # oracle COALESCE(value, 0)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new)
-        grp = np.cumsum(new) - 1  # group index per row
-        # disjoint monotone axis: each user's ts shifted so consecutive
-        # users are > WIN apart — RANGE frames can never cross users
-        spans = ts[np.append(starts[1:], n) - 1] - ts[starts]
-        base = np.concatenate(([0], np.cumsum(spans + WIN + 1)[:-1]))
-        shifted = ts - ts[starts][grp] + base[grp]
-        # RANGE frame semantics: every row with ts in [ts_i - 1h, ts_i]
-        # is in row i's frame (peers at ts_i included regardless of sort
-        # position) — exactly the two searchsorted boundaries below.
-        right = np.searchsorted(shifted, shifted, side="right")
-        left = np.searchsorted(shifted, shifted - WIN, side="left")
-        cs = np.concatenate(([0], np.cumsum(vm)))
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(),
-                "user_id": uid,
-                "cnt_1h": (right - left).astype("int64"),
-                "sum_value_micros_1h": (cs[right] - cs[left]).astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(windows, batch_format="pandas")
-    )
-
-
-def events_asof_attribution(sf_dir: str):
-    """As-of join (inner): each click event matched to the same user's
-    most recent view event at or before the click — the attribution
-    join. One hash shuffle by user_id; the per-group kernel is a sorted
-    searchsorted probe (O(n log n) per group, no per-row loop).
-    Deterministic tie-break: among equal view timestamps the max
-    view_id wins (sort by (ts, event_id), side='right' probe)."""
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    ds = ds.map_batches(
-        lambda b: b.filter(pc.is_in(b["event_type"], value_set=pa.array(["click", "view"]))),
-        batch_format="pyarrow",
-    )
-    n_parts = 64
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (
-            pd.util.hash_array(df["user_id"].to_numpy(np.int64)) % np.uint64(n_parts)
-        ).astype(np.int32)
-        return df
-
-    def kernel(group: pd.DataFrame) -> pd.DataFrame:
-        # ONE vectorized merge_asof per coarse partition (not per user):
-        # pandas' grouped as-of is a single C pass over both sorted
-        # sides. Views sorted by (ts, event_id) so the backward match at
-        # an equal timestamp deterministically takes the max view_id.
-        v = group[group["event_type"] == "view"].sort_values(
-            ["ts", "event_id"], kind="mergesort"
-        )
-        c = group[group["event_type"] == "click"].sort_values("ts", kind="mergesort")
-        empty = pd.DataFrame(
-            {
-                "click_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "view_id": pd.Series([], dtype="int64"),
-                "gap_us": pd.Series([], dtype="int64"),
-            }
-        )
-        if v.empty or c.empty:
-            return empty
-        m = pd.merge_asof(
-            c[["event_id", "user_id", "ts"]],
-            v[["event_id", "user_id", "ts"]].rename(
-                columns={"event_id": "view_id", "ts": "view_ts"}
-            ),
-            left_on="ts",
-            right_on="view_ts",
-            by="user_id",
-            direction="backward",
-            allow_exact_matches=True,
-        )
-        m = m.dropna(subset=["view_id"])
-        if m.empty:
-            return empty
-        gap = (
-            m["ts"].astype("datetime64[us]").astype("int64")
-            - m["view_ts"].astype("datetime64[us]").astype("int64")
-        )
-        return pd.DataFrame(
-            {
-                "click_id": m["event_id"].astype("int64"),
-                "user_id": m["user_id"].astype("int64"),
-                "view_id": m["view_id"].astype("int64"),
-                "gap_us": gap.astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
-
-
 # --------------------------------------------------------------------------
 # non-SQL operators (rows-only driver check; exact semantics pinned by
 # pytest against small fixtures)
@@ -1604,206 +1392,6 @@ def doc_pack_windows(sf_dir: str):
     return pack_windows(ds, capacity=512)
 
 
-def events_range_join(sf_dir: str):
-    """Interval (range) join — the non-equi join Ray Data lacks: every
-    event matched to each OVERLAPPING 2-hour activity window anchored at
-    a busy hour (hours with ≥4 events — selective at sf0.001, the pytest
-    fixture scale; windows overlap, so this can't collapse to an
-    equi-join on a bucket key). The window side is tiny and broadcast;
-    each point batch matches via two searchsorted probes
-    (relational.range_join_intervals)."""
-    from .relational import range_join_intervals
-
-    ds = _read(sf_dir, "events", ["event_id", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df["ts"].dt.floor("h").value_counts()
-        return pd.DataFrame({"hh": g.index, "n": g.to_numpy()})
-
-    hourly = _combine_partials(
-        ds.map_batches(partial, batch_format="pandas"), ["hh"], ["n"]
-    ).to_pandas()
-    busy = hourly[hourly["n"] >= 4]
-    start_us = busy["hh"].astype("datetime64[us]").astype("int64").to_numpy()
-    iv = pd.DataFrame({"win_start": start_us, "win_end": start_us + 2 * 3600 * 1_000_000})
-
-    pts = ds.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "event_id": df["event_id"].astype("int64"),
-                "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
-            }
-        ),
-        batch_format="pandas",
-    )
-    joined = range_join_intervals(pts, iv, ts_col="ts_us")
-    return joined.select_columns(["event_id", "win_start"])
-
-
-_FUNNEL_WINDOW_US = 7 * 86400 * 1_000_000  # view→click→purchase within 7 days
-
-
-def events_funnel(sf_dir: str):
-    """Sequential-pattern (funnel) detection: per user, the earliest
-    purchase completing a strictly-ordered view < click < purchase
-    chain within a 7-day window. Ordering is the total order
-    (ts, event_id) so ties are impossible and the SQL row-comparison
-    replay is exact.
-
-    Distributed: hash-partition by user (each user wholly in one
-    coarse partition), ONE vectorized kernel per partition — grouped
-    exclusive running maxima (latest-view-before, then
-    latest-view-before-latest-click) turn the EXISTS-triple semantics
-    into two C-level cummax passes; valid because latest-view-before
-    is monotone along each user's timeline."""
-    from ..functions.simdedup import _avalanche
-
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"])
-    n_parts = 64
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        keys = df["user_id"].to_numpy(dtype=np.int64)
-        df = df.assign(
-            part=(_avalanche(keys.astype(np.uint64)) % np.uint64(n_parts)).astype(np.int32)
-        )
-        return df
-
-    def kernel(part: pd.DataFrame) -> pd.DataFrame:
-        if len(part) == 0:
-            return pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                                 "completion_us": pd.Series([], dtype="int64")})
-        g = part.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        ts = g["ts"].astype("datetime64[us]").astype("int64")
-        et = g["event_type"].to_numpy(dtype=object)
-        neg = np.int64(-(1 << 62))
-        uid = g["user_id"]
-        view_ts = pd.Series(np.where(et == "view", ts, neg), index=g.index)
-        # exclusive prefix per user: latest view strictly before this row
-        lv = view_ts.groupby(uid, sort=False).cummax().groupby(uid, sort=False).shift(1, fill_value=neg)
-        click_lv = pd.Series(np.where(et == "click", lv.to_numpy(), neg), index=g.index)
-        # latest (view-before-click) over clicks strictly before this row —
-        # lv is monotone per user, so cummax == the latest click's value
-        clv = click_lv.groupby(uid, sort=False).cummax().groupby(uid, sort=False).shift(1, fill_value=neg)
-        tsv = ts.to_numpy()
-        done = (et == "purchase") & (clv.to_numpy() > neg) & (tsv - clv.to_numpy() <= _FUNNEL_WINDOW_US)
-        hit = g[done].assign(completion_us=tsv[done])
-        out = hit.groupby("user_id", as_index=False)["completion_us"].min()
-        return pd.DataFrame({"user_id": out["user_id"].astype("int64"),
-                             "completion_us": out["completion_us"].astype("int64")})
-
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
-
-
-def events_user_hll(sf_dir: str):
-    """HyperLogLog register table over events.user_id — the sketch
-    STATE is integer-exact and deterministic, so the oracle replays it
-    bit-for-bit (avalanche hash, leading-zero rank via bin/instr);
-    the float estimate on top is pinned by pytest vs exact distinct."""
-    from .training import hll_registers
-
-    ds = _read(sf_dir, "events", ["user_id"])
-    return hll_registers(ds, "user_id")
-
-
-def events_type_hll(sf_dir: str):
-    """GROUPED HyperLogLog: one register table per event_type
-    (approximate distinct users per type) — sketch-as-grouped-
-    aggregation. Per-batch sparse (type, bucket, rho) partials fold
-    inside map_batches (≤ types × 4096 rows leave any task at any data
-    size); a hash-shuffle groupby().max finishes the merge. The state
-    is integer-exact, so the oracle replays it per group."""
-    from ray.data.aggregate import Max
-
-    from ..functions.sketch import hll_partial
-
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
-
-    def kernel(t: pa.Table) -> pa.Table:
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        uid = pc.cast(t["user_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        types, buckets, rhos = [], [], []
-        for ty in pd.unique(pd.Series(et)):
-            b, r = hll_partial(uid[et == ty])
-            types.extend([ty] * len(b))
-            buckets.append(b)
-            rhos.append(r)
-        return pa.table(
-            {
-                "event_type": pa.array(types, type=pa.string()),
-                "bucket": pa.array(
-                    np.concatenate(buckets) if buckets else np.array([], dtype=np.int64)
-                ),
-                "rho": pa.array(
-                    np.concatenate(rhos) if rhos else np.array([], dtype=np.int64)
-                ),
-            }
-        )
-
-    partials = ds.map_batches(kernel, batch_format="pyarrow")
-    return partials.groupby(["event_type", "bucket"]).aggregate(Max("rho", alias_name="rho"))
-
-
-def events_user_cms(sf_dir: str):
-    """Count-Min sketch frequency estimation over events.user_id: the
-    20 busiest users' exact counts next to their CMS estimates. The
-    sketch state (functions/sketch.cms_partial: 4×1024 int64 registers,
-    salted-avalanche column per row, min across rows) is integer-exact,
-    so the DuckDB oracle replays registers AND estimates bit-for-bit —
-    and the one-sided guarantee cms_est >= exact_cnt is pinned in
-    pytest. Per-batch dense 32 KB partials sum associatively (a sparse
-    (r,c,cnt) groupby here); only register tables shuffle, never keys.
-    The exact top-20 side is a post-aggregation table sized by distinct
-    users — at 10^9 users use events_heavy_hitters (Misra-Gries +
-    recount) instead; this entry is the sketch-accuracy companion."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.sketch import CMS_D, CMS_W, cms_estimate, cms_partial
-
-    ds = _read(sf_dir, "events", ["user_id"])
-
-    def kernel(t: pa.Table) -> pa.Table:
-        uid = pc.cast(t["user_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        regs = cms_partial(uid)
-        r, c = np.nonzero(regs)
-        return pa.table(
-            {
-                "r": pa.array(r.astype(np.int64)),
-                "c": pa.array(c.astype(np.int64)),
-                "cnt": pa.array(regs[r, c]),
-            }
-        )
-
-    reg_rows = (
-        ds.map_batches(kernel, batch_format="pyarrow")
-        .groupby(["r", "c"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
-    dense = np.zeros((CMS_D, CMS_W), dtype=np.int64)
-    dense[reg_rows["r"].to_numpy(np.int64), reg_rows["c"].to_numpy(np.int64)] = (
-        reg_rows["cnt"].to_numpy(np.int64)
-    )
-
-    exact = ds.groupby("user_id").count().to_pandas()
-    cnt_col = [c for c in exact.columns if c != "user_id"][0]
-    exact = exact.rename(columns={cnt_col: "exact_cnt"})
-    top = exact.sort_values(
-        ["exact_cnt", "user_id"], ascending=[False, True], kind="mergesort"
-    ).head(20)
-    uids = top["user_id"].to_numpy(np.int64)
-    return pd.DataFrame(
-        {
-            "user_id": uids,
-            "exact_cnt": top["exact_cnt"].to_numpy(np.int64),
-            "cms_est": cms_estimate(dense, uids),
-        }
-    )
-
-
 def customers_in_events_bloom(sf_dir: str):
     """Bloom-filter membership probe: build a 4 KB Bloom filter over
     the distinct events.user_id set (functions/sketch.bloom_partial —
@@ -1878,61 +1466,6 @@ def customers_in_events_bloom(sf_dir: str):
     return hash_join(probed, uids, on="c_custkey", how="left", post=mark)
 
 
-def events_user_active_time(sf_dir: str):
-    """Interval-union coverage: each event opens a 5-minute activity
-    window [ts, ts+300s]; per user, the total length of the UNION of
-    those windows (overlaps merged — the classic gaps-and-islands
-    shape). One coarse hash exchange by user, then one vectorized
-    kernel per partition: sort by (user, start), running cummax of
-    window ends, segment break where a start clears the cummax, and a
-    segment reduce — never a per-user Python loop. Integer microsecond
-    arithmetic end to end, so the SQL oracle (windowed MAX ... ROWS
-    UNBOUNDED PRECEDING islands) matches bit-for-bit."""
-    WINDOW_US = 300_000_000
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def coverage(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.sort_values(["user_id", "ts"], kind="mergesort")
-        uid = g["user_id"].to_numpy(np.int64)
-        s = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        n = len(g)
-        if n == 0:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "active_us": pd.Series([], dtype="int64"),
-                }
-            )
-        # equal-width windows + sorted starts ⇒ window ends are sorted
-        # within each user run, so the running cummax of ends IS e —
-        # no grouped-accumulate machinery needed
-        e = s + WINDOW_US
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        new_seg = new_user.copy()
-        new_seg[1:] |= s[1:] > e[:-1]
-        seg_starts = np.flatnonzero(new_seg)
-        seg_ends = np.append(seg_starts[1:], n)
-        seg_len = e[seg_ends - 1] - s[seg_starts]
-        seg_uid = uid[seg_starts]
-        first_of_user = np.empty(len(seg_starts), dtype=bool)
-        first_of_user[0] = True
-        first_of_user[1:] = seg_uid[1:] != seg_uid[:-1]
-        ug = np.cumsum(first_of_user) - 1
-        total = np.zeros(ug[-1] + 1, dtype=np.int64)
-        np.add.at(total, ug, seg_len)
-        return pd.DataFrame(
-            {"user_id": seg_uid[np.flatnonzero(first_of_user)], "active_us": total}
-        )
-
-    return (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(coverage, batch_format="pandas")
-    )
-
-
 def orders_events_key_overlap(sf_dir: str):
     """Distinct-key set algebra between two fact tables: how many
     distinct order custkeys are also event user ids (INTERSECT), and
@@ -2000,52 +1533,6 @@ def embedding_cluster_assign(sf_dir: str):
     return centroid_assign(ds, centroid_ids=list(range(8)))
 
 
-def events_cumulative_users(sf_dir: str):
-    """Cumulative distinct-user growth by day — the dataset-growth /
-    dashboard shape that naive SQL writes as a windowed COUNT(DISTINCT)
-    (quadratic). Scale form: per-batch (user, min-day) partials, ONE
-    hash-shuffle groupby-min to land each user's true first day, tiny
-    per-day counts, and a driver-side cumsum over the handful of day
-    rows. Two fact-table passes never materialize; only #users and
-    then #days rows ever leave the exchanges."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    DAY_US = 86_400_000_000
-
-    def first_day_partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = df["ts"].astype("datetime64[us]").astype("int64") // DAY_US
-        return (
-            pd.DataFrame({"user_id": df["user_id"].astype(np.int64), "day": day})
-            .groupby("user_id", as_index=False)
-            .agg(day=("day", "min"))
-        )
-
-    first = (
-        ds.map_batches(first_day_partial, batch_format="pandas")
-        .groupby("user_id")
-        .min("day")
-    )
-
-    def day_counts(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.rename(columns={"min(day)": "day"})
-            .groupby("day", as_index=False)
-            .agg(new_users=("user_id", "size"))
-        )
-
-    days = _combine_partials(
-        first.map_batches(day_counts, batch_format="pandas"), ["day"], ["new_users"]
-    ).to_pandas()
-    days = days.sort_values("day").reset_index(drop=True)
-    out = pd.DataFrame(
-        {
-            "day": pd.to_datetime(days["day"] * 86400, unit="s").dt.strftime("%Y-%m-%d"),
-            "new_users": days["new_users"].astype(np.int64),
-            "cum_users": days["new_users"].cumsum().astype(np.int64),
-        }
-    )
-    return out
-
-
 def orders_monthly_growth(sf_dir: str):
     """Month-over-month revenue with LAG delta: per-batch (month,
     cents-sum, count) partials, one tiny groupby-sum (#months rows),
@@ -2084,156 +1571,6 @@ def doc_global_shuffle(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id"])
     return global_shuffle_rank(ds, id_col="doc_id")
-
-
-def events_latest_per_user(sf_dir: str):
-    """Latest-wins compaction (the CDC-upsert / snapshot shape): keep
-    each user's most recent event by (ts, event_id). Associative
-    reduce: a per-batch keep-latest partial shrinks the exchange to at
-    most one row per (batch, user) BEFORE the shuffle; the finish runs
-    inside a coarse 64-way user-hash partition (every user's surviving
-    rows co-locate) with the same vectorized kernel — never per-user
-    Python, no per-key Aggregate exchange (the per-key sort-Aggregate
-    launch constant dwarfs the work at any scale), and the fact table
-    never moves whole."""
-    from ..functions.simdedup import hash_part
-
-    ds = _read(sf_dir, "events", ["user_id", "event_id", "event_type", "ts"])
-
-    def keep_latest(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        return g.groupby("user_id", as_index=False).tail(1)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = keep_latest(df)
-        return g.assign(
-            part=hash_part(g["user_id"].to_numpy(np.int64), 64).astype(np.int64)
-        )
-
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(
-            lambda g: keep_latest(g).drop(columns=["part"]), batch_format="pandas"
-        )
-    )
-    return out.map_batches(
-        lambda df: df.rename(
-            columns={
-                "event_id": "last_event_id",
-                "event_type": "last_event_type",
-                "ts": "last_ts",
-            }
-        )[["user_id", "last_event_id", "last_event_type", "last_ts"]],
-        batch_format="pandas",
-    )
-
-
-def events_profile(sf_dir: str):
-    """Table profiling — the data-quality primitive every ingest runs
-    first: per column, row count, null count, and EXACT distinct count.
-    One streaming pass computes all null counters as associative
-    partials; then one column-pruned pass per column feeds per-batch
-    unique partials into a distinct-merge groupby whose exchange
-    carries only unique values (never rows). Timestamps count distinct
-    as integer microseconds; doubles ride the groupby key directly.
-    At 10^10 rows each distinct exchange is bounded by the column's
-    cardinality, and the narrow passes read one column each."""
-    cols = ["event_id", "ts", "user_id", "event_type", "value", "props"]
-    ds = _read(sf_dir, "events", cols)
-
-    def null_partial(t: pa.Table) -> pa.Table:
-        row = {"n": [len(t)]}
-        for c in cols:
-            row[f"null_{c}"] = [pc.sum(pc.is_null(t[c]).cast(pa.int64())).as_py() or 0]
-        return pa.table(row)
-
-    nulls = (
-        ds.map_batches(null_partial, batch_format="pyarrow")
-        .sum(["n"] + [f"null_{c}" for c in cols])
-    )
-    n_rows = int(nulls["sum(n)"])
-
-    # ONE distinct exchange for all six columns (was one pipeline per
-    # column — six executor launches whose fixed overhead dominated at
-    # bench scale). Per batch: per-column unique values, injectively
-    # encoded as strings (ints/timestamps → decimal, doubles → bit
-    # pattern with ±0.0 normalized so 0.0 == -0.0 like SQL equality,
-    # strings as-is), tagged with col_id, coarse 64-way hash partition;
-    # distinct-within-partition per (part, col) sums to each column's
-    # exact global count. The wire carries per-batch UNIQUE encoded
-    # values only — still bounded by column cardinality, never rows.
-    def uniq_all(t: pa.Table) -> pd.DataFrame:
-        frames = []
-        for ci, c in enumerate(cols):
-            arr = t[c]
-            if pa.types.is_timestamp(arr.type):
-                arr = pc.cast(arr, pa.int64())
-            v = arr.drop_null().unique()
-            if len(v) == 0:
-                continue
-            if pa.types.is_floating(v.type):
-                x = v.to_numpy(zero_copy_only=False).astype(np.float64)
-                x = np.where(x == 0.0, 0.0, x)
-                key = pd.Series(x.view(np.uint64)).astype(str)
-            elif pa.types.is_string(v.type) or pa.types.is_large_string(v.type):
-                key = v.to_pandas().astype(str)
-            else:
-                key = pd.Series(
-                    v.to_numpy(zero_copy_only=False).astype(np.int64)
-                ).astype(str)
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "col_id": np.full(len(key), ci, dtype=np.int64),
-                        "key": key.to_numpy(dtype=object),
-                    }
-                )
-            )
-        if not frames:
-            return pd.DataFrame(
-                {
-                    "col_id": pd.Series([], dtype="int64"),
-                    "key": pd.Series([], dtype=object),
-                    "part": pd.Series([], dtype="int64"),
-                }
-            )
-        out = pd.concat(frames, ignore_index=True)
-        out["part"] = (
-            pd.util.hash_array(out["key"].to_numpy(dtype=object)) % np.uint64(64)
-        ).astype(np.int64)
-        return out
-
-    def count_part(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.groupby("col_id")["key"].nunique()
-        return pd.DataFrame(
-            {
-                "col_id": d.index.to_numpy(np.int64),
-                "nd": d.to_numpy(np.int64),
-            }
-        )
-
-    counts = (
-        ds.map_batches(uniq_all, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_part, batch_format="pandas")
-        .to_pandas()
-    )
-    nd_by_col = counts.groupby("col_id")["nd"].sum()
-    out_rows = []
-    for ci, c in enumerate(cols):
-        out_rows.append(
-            {
-                "col_name": c,
-                "n": n_rows,
-                "n_null": int(nulls[f"sum(null_{c})"]),
-                "n_distinct": int(nd_by_col.get(ci, 0)),
-            }
-        )
-    out = pd.DataFrame(out_rows)
-    for c in ("n", "n_null", "n_distinct"):
-        out[c] = out[c].astype(np.int64)
-    return out
 
 
 _WSAMPLE_SALT = np.uint64(0x27D4EB2F165667C5)  # xxhash prime5, distinct from PART_SALT
@@ -2340,141 +1677,6 @@ def doc_bm25_scores(sf_dir: str):
     return ds.map_batches(score, batch_format="pandas")
 
 
-def events_user_paths(sf_dir: str):
-    """Sequential-pattern mining: each user's first 8 event types (by
-    ts, event_id) joined into a '>'-delimited path, then path → user
-    count — the funnel-discovery / behavioral-clustering primitive.
-    One coarse hash exchange by user; inside each partition the path
-    assembly is a vectorized pivot + columnwise string concat (8 fixed
-    steps, no per-user Python join), pre-aggregated to (path, partial
-    count) so the final exchange carries paths, not users."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def paths(part: pd.DataFrame) -> pd.DataFrame:
-        part = part[part["ts"].notna()]
-        g = part.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        if len(g) == 0:
-            return pd.DataFrame(
-                {"path": pd.Series([], dtype=object), "n_users": pd.Series([], dtype="int64")}
-            )
-        rn = g.groupby("user_id").cumcount()
-        g = g.loc[rn < 8].assign(rn=rn[rn < 8])
-        w = g.pivot(index="user_id", columns="rn", values="event_type")
-        path = w.iloc[:, 0].fillna("")
-        for c in range(1, w.shape[1]):
-            col = w.iloc[:, c]
-            path = path.where(col.isna(), path + ">" + col.fillna(""))
-        out = pd.DataFrame({"path": path.to_numpy()})
-        return out.groupby("path", as_index=False).size().rename(columns={"size": "n_users"})
-
-    res = (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(paths, batch_format="pandas")
-        .groupby("path")
-        .sum("n_users")
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"path": df["path"], "n_users": df["sum(n_users)"].astype(np.int64)}
-        )
-
-    return res.map_batches(finish, batch_format="pandas")
-
-
-def events_state_intervals(sf_dir: str):
-    """SCD2-style state intervals: collapse each user's consecutive
-    runs of the same event_type into (state, valid_from, valid_to,
-    n_events) rows — the slowly-changing-dimension / state-timeline
-    build every warehouse runs over change streams. One coarse hash
-    exchange by user, then a single vectorized run-detection kernel
-    per partition (sort, boundary mask, reduceat-style slicing) —
-    the sessionization kernel shape with a type-change boundary."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def intervals(part: pd.DataFrame) -> pd.DataFrame:
-        part = part[part["ts"].notna()]
-        g = part.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        n = len(g)
-        if n == 0:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "state": pd.Series([], dtype=object),
-                    "valid_from": pd.Series([], dtype="datetime64[us]"),
-                    "valid_to": pd.Series([], dtype="datetime64[us]"),
-                    "n_events": pd.Series([], dtype="int64"),
-                }
-            )
-        uid = g["user_id"].to_numpy(np.int64)
-        et = g["event_type"].to_numpy()
-        ts = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = (uid[1:] != uid[:-1]) | (et[1:] != et[:-1])
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], n)
-        return pd.DataFrame(
-            {
-                "user_id": uid[starts],
-                "state": et[starts],
-                "valid_from": ts[starts].astype("datetime64[us]"),
-                "valid_to": ts[ends - 1].astype("datetime64[us]"),
-                "n_events": (ends - starts).astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(intervals, batch_format="pandas")
-    )
-
-
-def events_gap_fill(sf_dir: str):
-    """Time-series regularization: per event_type hourly counts with
-    ZERO-FILLED missing hours between that type's first and last hour
-    — the resample/gap-fill step before any windowed model sees the
-    series. Pre-aggregated (type, hour) partials shuffle once; the
-    per-type grid expansion is one vectorized arange + scatter kernel
-    per group (5 groups), never a per-hour Python loop."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-    HOUR = 3_600_000_000
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["ts"].notna()]
-        hr = d["ts"].astype("datetime64[us]").astype("int64") // HOUR
-        out = (
-            pd.DataFrame({"event_type": d["event_type"], "hr": hr})
-            .groupby(["event_type", "hr"], as_index=False)
-            .size()
-        )
-        return out.rename(columns={"size": "n"})
-
-    counts = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "hr"])
-        .sum("n")
-    )
-
-    def expand(g: pd.DataFrame) -> pd.DataFrame:
-        hr = g["hr"].to_numpy(np.int64)
-        n = g["sum(n)"].to_numpy(np.int64)
-        grid = np.arange(hr.min(), hr.max() + 1, dtype=np.int64)
-        filled = np.zeros(len(grid), dtype=np.int64)
-        filled[hr - hr.min()] = n
-        return pd.DataFrame(
-            {
-                "event_type": np.repeat(g["event_type"].iloc[0], len(grid)),
-                "hour_ts": (grid * HOUR).astype("datetime64[us]"),
-                "n": filled,
-            }
-        )
-
-    return counts.groupby("event_type").map_groups(expand, batch_format="pandas")
-
-
 _FEATURE_HASH_DIM = 64
 
 
@@ -2574,59 +1776,6 @@ def doc_length_zscore(sf_dir: str):
     return ds.map_batches(zscore, batch_format="pandas")
 
 
-def events_transition_matrix(sf_dir: str):
-    """First-order Markov transition counts: for every consecutive
-    event pair within a user's (ts, event_id) timeline, count
-    (prev_type → next_type) — the behavioral transition matrix under
-    next-action models and session simulators. One coarse hash
-    exchange by user; inside each partition a single sort + shifted
-    comparison produces all pairs (users are contiguous, the boundary
-    mask drops cross-user pairs), pre-aggregated before the tiny
-    (5×5)-row final exchange."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def pairs(part: pd.DataFrame) -> pd.DataFrame:
-        part = part[part["ts"].notna()]
-        g = part.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        if len(g) < 2:
-            return pd.DataFrame(
-                {
-                    "prev_type": pd.Series([], dtype=object),
-                    "next_type": pd.Series([], dtype=object),
-                    "n": pd.Series([], dtype="int64"),
-                }
-            )
-        uid = g["user_id"].to_numpy(np.int64)
-        et = g["event_type"].to_numpy()
-        same = uid[1:] == uid[:-1]
-        out = pd.DataFrame({"prev_type": et[:-1][same], "next_type": et[1:][same]})
-        return (
-            out.groupby(["prev_type", "next_type"], as_index=False)
-            .size()
-            .rename(columns={"size": "n"})
-            .astype({"n": "int64"})
-        )
-
-    res = (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(pairs, batch_format="pandas")
-        .groupby(["prev_type", "next_type"])
-        .sum("n")
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "prev_type": df["prev_type"],
-                "next_type": df["next_type"],
-                "n": df["sum(n)"].astype(np.int64),
-            }
-        )
-
-    return res.map_batches(finish, batch_format="pandas")
-
-
 _ENTROPY_CELL_BUDGET = 1 << 26  # 64M uint32 cells (~256 MB) per view chunk
 
 
@@ -2714,133 +1863,6 @@ def doc_char_entropy(sf_dir: str):
         return pd.concat(parts, ignore_index=True)
 
     return ds.map_batches(kernel, batch_format="pandas")
-
-
-def events_retention_cohorts(sf_dir: str):
-    """Cohort retention: users grouped by first-seen WEEK (Monday
-    truncation, matching date_trunc('week')), counted in every week
-    they were active — the warehouse staple behind retention
-    triangles. One coarse hash exchange by user; per partition a
-    single vectorized kernel derives each user's cohort (first row of
-    the sorted timeline) and distinct active weeks (lexsort unique),
-    pre-counts (cohort, week) pairs, and the final exchange carries
-    only the tiny cohort×week matrix."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def cohorts(part: pd.DataFrame) -> pd.DataFrame:
-        part = part[part["ts"].notna()]
-        if len(part) == 0:
-            return pd.DataFrame(
-                {
-                    "cohort_week": pd.Series([], dtype="datetime64[us]"),
-                    "active_week": pd.Series([], dtype="datetime64[us]"),
-                    "n_users": pd.Series([], dtype="int64"),
-                }
-            )
-        month = (
-            part["ts"]
-            .astype("datetime64[us]")
-            .dt.to_period("W-SUN")  # week starting Monday = date_trunc('week')
-            .dt.start_time
-            .astype("datetime64[us]")
-            .astype("int64")
-            .to_numpy()
-        )
-        uid = part["user_id"].to_numpy(np.int64)
-        order = np.lexsort((month, uid))
-        uid, month = uid[order], month[order]
-        new_pair = np.empty(len(uid), dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (uid[1:] != uid[:-1]) | (month[1:] != month[:-1])
-        uid_p, month_p = uid[new_pair], month[new_pair]  # distinct (user, month)
-        new_user = np.empty(len(uid_p), dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid_p[1:] != uid_p[:-1]
-        ustarts = np.flatnonzero(new_user)
-        grp = np.cumsum(new_user) - 1
-        cohort = month_p[ustarts][grp]  # first week per user (sorted)
-        out = pd.DataFrame(
-            {
-                "cohort_week": cohort.astype("datetime64[us]"),
-                "active_week": month_p.astype("datetime64[us]"),
-            }
-        )
-        return (
-            out.groupby(["cohort_week", "active_week"], as_index=False)
-            .size()
-            .rename(columns={"size": "n_users"})
-            .astype({"n_users": "int64"})
-        )
-
-    res = (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(cohorts, batch_format="pandas")
-        .groupby(["cohort_week", "active_week"])
-        .sum("n_users")
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "cohort_week": df["cohort_week"],
-                "active_week": df["active_week"],
-                "n_users": df["sum(n_users)"].astype(np.int64),
-            }
-        )
-
-    return res.map_batches(finish, batch_format="pandas")
-
-
-def events_anomaly_mad(sf_dir: str):
-    """Robust anomaly detection over the hourly series: flag hours
-    whose count deviates from the per-type LOWER median by more than
-    3× the median absolute deviation — the monitoring primitive behind
-    the reference's threshold alarms (pipelines/monitors.py), done
-    robustly. Pure integer arithmetic end to end (lower medians via
-    partition index), so the oracle (percentile_disc) matches exactly.
-    Pre-aggregated hourly partials shuffle once; the per-type kernel
-    is two sorts over that type's ~thousands of hours."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-    HOUR = 3_600_000_000
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["ts"].notna()]
-        hr = d["ts"].astype("datetime64[us]").astype("int64") // HOUR
-        out = (
-            pd.DataFrame({"event_type": d["event_type"], "hr": hr})
-            .groupby(["event_type", "hr"], as_index=False)
-            .size()
-        )
-        return out.rename(columns={"size": "n"})
-
-    counts = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "hr"])
-        .sum("n")
-    )
-
-    def _lower_median(x: np.ndarray) -> int:
-        s = np.sort(x)
-        return int(s[(len(s) - 1) // 2])
-
-    def flag(g: pd.DataFrame) -> pd.DataFrame:
-        n = g["sum(n)"].to_numpy(np.int64)
-        med = _lower_median(n)
-        dev = np.abs(n - med)
-        mad = _lower_median(dev)
-        keep = dev > 3 * mad
-        return pd.DataFrame(
-            {
-                "event_type": g["event_type"].to_numpy()[keep],
-                "hour_ts": (g["hr"].to_numpy(np.int64)[keep] * HOUR).astype(
-                    "datetime64[us]"
-                ),
-                "n": n[keep],
-            }
-        )
-
-    return counts.groupby("event_type").map_groups(flag, batch_format="pandas")
 
 
 def customers_pareto_80(sf_dir: str):
@@ -2981,78 +2003,6 @@ def embedding_quantize_int8(sf_dir: str):
         )
 
     return ds.map_batches(quant, batch_format="pyarrow")
-
-
-def events_dau_stickiness(sf_dir: str):
-    """DAU/WAU stickiness: distinct users per day over distinct users
-    of that day's (Monday-truncated) week — the engagement ratio every
-    product dashboard tracks. Users are hash-partitioned whole, so
-    per-partition distinct (user, day)/(user, week) pairs ARE the
-    global distincts; the exchange carries pre-counted day/week rows
-    and the final day↔week merge is a ~30-row driver frame. The one
-    double op (dau/wau) is a single correctly-rounded division,
-    mirrored in SQL."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    DAY = 86_400_000_000
-
-    def partial(part: pd.DataFrame) -> pd.DataFrame:
-        part = part[part["ts"].notna()]
-        if len(part) == 0:
-            return pd.DataFrame(
-                {
-                    "kind": pd.Series([], dtype="int64"),
-                    "t": pd.Series([], dtype="int64"),
-                    "n": pd.Series([], dtype="int64"),
-                }
-            )
-        ts = part["ts"].astype("datetime64[us]")
-        uid = part["user_id"].to_numpy(np.int64)
-        day = (ts.astype("int64").to_numpy() // DAY) * DAY
-        week = (
-            ts.dt.to_period("W-SUN").dt.start_time.astype("datetime64[us]")
-            .astype("int64")
-            .to_numpy()
-        )
-        out = []
-        for kind, t in ((0, day), (1, week)):
-            pairs = np.unique(np.stack([uid, t]), axis=1)  # distinct (user, t)
-            tt, cnt = np.unique(pairs[1], return_counts=True)
-            out.append(
-                pd.DataFrame(
-                    {"kind": np.full(len(tt), kind, dtype=np.int64), "t": tt, "n": cnt}
-                )
-            )
-        return pd.concat(out, ignore_index=True).astype({"n": "int64"})
-
-    agg = (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(partial, batch_format="pandas")
-        .groupby(["kind", "t"])
-        .sum("n")
-        .to_pandas()
-    )
-    dau = agg[agg["kind"] == 0]
-    wau = agg[agg["kind"] == 1].set_index("t")["sum(n)"]
-    day = dau["t"].to_numpy(np.int64)
-    week = (
-        pd.Series(day.astype("datetime64[us]"))
-        .dt.to_period("W-SUN")
-        .dt.start_time.astype("datetime64[us]")
-        .astype("int64")
-        .to_numpy()
-    )
-    d = dau["sum(n)"].to_numpy(np.int64)
-    w = wau.loc[week].to_numpy(np.int64)
-    out = pd.DataFrame(
-        {
-            "day_ts": day.astype("datetime64[us]"),
-            "dau": d,
-            "wau": w,
-            "stickiness": d.astype(np.float64) / w.astype(np.float64),
-        }
-    ).sort_values("day_ts").reset_index(drop=True)
-    return out
 
 
 BASKET_TOPK = 50
@@ -3253,97 +2203,6 @@ def embedding_cluster_purity(sf_dir: str):
             ).astype(np.int64),
         }
     )
-
-
-def _json_k_bigint(s) -> "int | None":
-    """The oracle's ``CAST(json_extract_string(props, '$.k') AS
-    BIGINT)`` replayed with a REAL JSON parse (semantics pinned
-    empirically against DuckDB in tests/test_queries_oracle.py):
-
-    - top-level ``k`` only — a nested object's ``k`` or a ``"k":``
-      inside a string value never matches (the old regex kernel got
-      both wrong);
-    - duplicate top-level keys: FIRST wins (yyjson rule; Python's
-      json keeps last, so parse with an object_pairs_hook);
-    - numbers and numeric strings cast like DuckDB VARCHAR→BIGINT:
-      integers pass through (int64 range-checked to NULL on
-      overflow), decimal/exponent forms round half AWAY from zero
-      ('1.5'→2, '-2.5'→-3, '1e5'→100000, non-finite→NULL);
-    - bool / array / object / null / non-numeric strings → NULL
-      (TRY_CAST semantics; see the KNOWN LATENT note on hard CAST).
-    """
-    import math
-
-    try:
-        obj = json.loads(s, object_pairs_hook=_json_first_key_wins)
-    except (ValueError, TypeError):
-        return None
-    if not isinstance(obj, dict) or "k" not in obj:
-        return None
-    v = obj["k"]
-    if v is None or isinstance(v, (list, dict)) or isinstance(v, bool):
-        return None
-    if isinstance(v, str):
-        t = v.strip()
-        try:
-            v = int(t)
-        except ValueError:
-            try:
-                v = float(t)
-            except ValueError:
-                return None
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            return None
-        r = math.floor(abs(v) + 0.5)
-        v = r if v >= 0 else -r
-    return v if -(1 << 63) <= v < (1 << 63) else None
-
-
-def _json_first_key_wins(pairs):
-    d = {}
-    for key, val in pairs:
-        if key not in d:
-            d[key] = val
-    return d
-
-
-def events_json_stats(sf_dir: str):
-    """Semi-structured extraction — schema-on-read over the JSON
-    ``props`` column: pull the integer ``k`` field out of every event
-    and aggregate per event_type. Per-batch partials bound the combine
-    at event-type cardinality; all stats exact int64.
-
-    Extraction is a REAL per-row JSON parse (``_json_k_bigint`` —
-    one ``json.loads`` per bounded-size props string; the r4 verdict
-    retired the vectorized-regex shortcut, whose key matching diverged
-    from ``json_extract`` on nested objects, escaped strings, floats
-    and exponent forms). Rows whose extraction is NULL drop, as the
-    oracle's ``WHERE k IS NOT NULL`` does."""
-    ds = _read(sf_dir, "events", ["event_type", "props"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        k = pd.Series(
-            [_json_k_bigint(s) for s in df["props"].to_numpy()],
-            index=df.index,
-            dtype=object,
-        )
-        ok = k.notna()
-        g = pd.DataFrame(
-            {
-                "event_type": df["event_type"][ok],
-                "k": k[ok].astype(np.int64),
-            }
-        )
-        return g.groupby("event_type", as_index=False).agg(
-            n=("k", "size"), sum_k=("k", "sum"), min_k=("k", "min"), max_k=("k", "max")
-        )
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("event_type", as_index=False).agg(
-        n=("n", "sum"), sum_k=("sum_k", "sum"), min_k=("min_k", "min"), max_k=("max_k", "max")
-    )
-    return out.astype({"n": np.int64, "sum_k": np.int64, "min_k": np.int64, "max_k": np.int64})
 
 
 CHUNK_WINDOW = 128
@@ -4160,39 +3019,6 @@ def doc_unigram_perplexity(sf_dir: str):
     return docs.map_batches(score, batch_format="pandas")
 
 
-def events_value_benford(sf_dir: str):
-    """Benford first-digit audit over event values — the classic
-    fabricated-data screen. Values snap to exact integer cents; the
-    first significant digit comes from the decimal string (identical
-    integer→string semantics in Python and SQL, no log10), counted per
-    digit with per-batch partials ahead of a 9-row exchange."""
-    ds = _read(sf_dir, "events", ["value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = np.floor(df["value"].fillna(0.0).to_numpy(np.float64) * 100 + 0.5).astype(
-            np.int64
-        )
-        cents = cents[cents > 0]
-        if len(cents) == 0:
-            return pd.DataFrame(
-                {"digit": pd.Series([], dtype="int64"), "n": pd.Series([], dtype="int64")}
-            )
-        first = (
-            pd.Series(cents).astype(str).str[0].astype(np.int64)
-        )
-        out = pd.DataFrame({"digit": first})
-        return out.groupby("digit", as_index=False).size().rename(columns={"size": "n"})
-
-    res = ds.map_batches(partial, batch_format="pandas").groupby("digit").sum("n")
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"digit": df["digit"].astype(np.int64), "n": df["sum(n)"].astype(np.int64)}
-        )
-
-    return res.map_batches(finish, batch_format="pandas")
-
-
 _MIX_TARGET_TOKENS = 5_000  # per-language token budget for the mix plan
 _MIXPLAN_SALT = np.uint64(0x165667B19E3779F9)  # xxhash prime3
 
@@ -4256,72 +3082,6 @@ def doc_sample_by_plan(sf_dir: str):
         )
 
     return ds.map_batches(kernel, batch_format="pandas")
-
-
-def events_profile_approx(sf_dir: str):
-    """The 100-TB companion to events_profile: per-column APPROXIMATE
-    distinct counts from ONE streaming pass — every column folds into
-    its own HyperLogLog register set per batch (ints/timestamps keyed
-    directly, doubles by bit pattern, strings via xxhash64), and the
-    single exchange carries at most columns × 4096 register rows
-    instead of one cardinality-bounded distinct exchange per column.
-    Registers merge by max (associative), so the result is
-    partition/resume-invariant. Rows-only driver entry; pytest pins
-    each estimate within standard HLL error of the exact profile."""
-    from ..functions.hashing import xxhash64_array
-    from ..functions.sketch import hll_estimate, hll_partial
-
-    cols = ["event_id", "ts", "user_id", "event_type", "value", "props"]
-    ds = _read(sf_dir, "events", cols)
-
-    def partial(t: pa.Table) -> pd.DataFrame:
-        frames = []
-        for ci, c in enumerate(cols):
-            arr = t[c].drop_null()
-            if pa.types.is_timestamp(arr.type):
-                keys = pc.cast(arr, pa.int64()).to_numpy().astype(np.uint64)
-            elif pa.types.is_floating(arr.type):
-                keys = arr.to_numpy().astype(np.float64).view(np.uint64)
-            elif pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
-                keys = xxhash64_array(arr.to_pylist())
-            else:
-                keys = arr.to_numpy().astype(np.uint64)
-            b, r = hll_partial(keys)
-            frames.append(
-                pd.DataFrame(
-                    {"col_id": np.full(len(b), ci, dtype=np.int64), "bucket": b, "rho": r}
-                )
-            )
-        return pd.concat(frames, ignore_index=True)
-
-    from ..functions.sketch import HLL_M
-
-    def merge_col(g: pd.DataFrame) -> pd.DataFrame:
-        dense = np.zeros(HLL_M, dtype=np.int64)
-        np.maximum.at(dense, g["bucket"].to_numpy(np.int64), g["rho"].to_numpy(np.int64))
-        return pd.DataFrame(
-            {
-                "col_id": [int(g["col_id"].iloc[0])],
-                "n_distinct_approx": [int(np.floor(hll_estimate(dense) + 0.5))],
-            }
-        )
-
-    # one 6-group exchange (≤ cols × 4096 rows per batch on the wire),
-    # dense max-merge vectorized per group — far cheaper than a 24k-
-    # group two-key aggregate at this register count
-    regs = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("col_id")
-        .map_groups(merge_col, batch_format="pandas")
-        .to_pandas()
-        .sort_values("col_id")
-    )
-    return pd.DataFrame(
-        {
-            "col_name": [cols[i] for i in regs["col_id"]],
-            "n_distinct_approx": regs["n_distinct_approx"].astype(np.int64),
-        }
-    ).reset_index(drop=True)
 
 
 def embedding_covariance(sf_dir: str):
@@ -4393,107 +3153,6 @@ def doc_shuffled_pack(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return pack_windows_shuffled(ds, capacity=512)
-
-
-def events_value_p99_sketch(sf_dir: str):
-    """Mergeable log2-bucket quantile sketch — the approximate-
-    percentile shape that stays shuffle-light at any scale: each value
-    lands in bucket bit_length(cents) (≤64 buckets, integer-exact via
-    frexp), per-batch (type, bucket, count) partials merge by addition,
-    and only the tiny counts table ever reaches the driver, where the
-    p50/p95/p99 walk picks the first bucket whose cumulative count
-    clears the integer rank. Estimates are the bucket's inclusive
-    upper bound (2^bucket - 1 cents) — a deterministic, SQL-replayable
-    overestimate within 2× of exact, contrast with the exact (but
-    shuffle-heavy) doc_length_percentiles path."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def bucket_partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = _cents(df["value"])
-        bucket = np.zeros(len(cents), dtype=np.int64)
-        pos = cents > 0
-        # frexp exponent of an int < 2^53 is exactly its bit length
-        bucket[pos] = np.frexp(cents[pos].astype(np.float64))[1]
-        return (
-            pd.DataFrame({"event_type": df["event_type"], "bucket": bucket})
-            .groupby(["event_type", "bucket"], as_index=False)
-            .agg(n=("bucket", "size"))
-        )
-
-    counts = _combine_partials(
-        ds.map_batches(bucket_partial, batch_format="pandas"),
-        ["event_type", "bucket"],
-        ["n"],
-    ).to_pandas()
-
-    rows = []
-    for etype, g in counts.groupby("event_type", sort=True):
-        g = g.sort_values("bucket")
-        cum = g["n"].cumsum().to_numpy(np.int64)
-        total = int(cum[-1])
-        buckets = g["bucket"].to_numpy(np.int64)
-
-        def est(pct: int) -> int:
-            rank = (total * pct + 99) // 100
-            b = int(buckets[np.searchsorted(cum, rank)])
-            return (1 << b) - 1
-
-        rows.append(
-            {
-                "event_type": etype,
-                "n": total,
-                "p50_cents": est(50),
-                "p95_cents": est(95),
-                "p99_cents": est(99),
-            }
-        )
-    out = pd.DataFrame(rows)
-    for c in ("n", "p50_cents", "p95_cents", "p99_cents"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def events_value_ntile(sf_dir: str):
-    """NTILE(4) per user ordered by (value, event_id) — the quantile-
-    bucket window shape, integer-exact (DuckDB tile sizing: the first
-    n%4 tiles get one extra row). Same partition-kernel discipline as
-    events_rank_windows: one vectorized pass per coarse hash partition,
-    NaN values ordered last like SQL's default NULLS LAST."""
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
-
-    def kernel(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.sort_values(
-            ["user_id", "value", "event_id"], kind="mergesort", na_position="last"
-        )
-        uid = g["user_id"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        n = len(g)
-        if n == 0:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "user_id": pd.Series([], dtype="int64"),
-                    "tile": pd.Series([], dtype="int64"),
-                }
-            )
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new_user)
-        sizes = np.diff(np.append(starts, n))
-        i = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-        cnt = np.repeat(sizes, sizes).astype(np.int64)
-        big, r = cnt // 4 + 1, cnt % 4
-        small = np.maximum(cnt // 4, 1)  # guard: n<4 users have r=n, small unused
-        in_big = i < r * big
-        tile = np.where(in_big, i // big, r + (i - r * big) // small) + 1
-        return pd.DataFrame({"event_id": eid, "user_id": uid, "tile": tile.astype(np.int64)})
-
-    return (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
 
 
 def doc_lang_id(sf_dir: str):
@@ -5270,35 +3929,15 @@ def image_curation_pipeline(sf_dir: str):
     return kept.sort_values("image_id").reset_index(drop=True)
 
 
-class RealClipScorer:
-    """Swap-in point for a real image-text alignment model (CLIP/SigLIP
-    via torch or onnxruntime — absent from this container). Contract:
-    actor-pool `map_batches` class; __init__ loads the model ONCE per
-    actor; __call__ takes a pyarrow batch with (image_id, bytes,
-    caption) and returns (image_id, align_score float32). Batch size
-    stays small (image payloads); concurrency × num_cpus sized to the
-    node like stages/decode.DecodePHash. The deterministic stand-in
-    used by image_caption_alignment is hash-projection embeddings over
-    the stored pHash + caption tokens."""
-
-    def __init__(self, *a, **k):  # pragma: no cover - swap-in marker
-        raise NotImplementedError(
-            "CLIP-style scorer needs torch/onnxruntime; absent from this "
-            "container. image_caption_alignment uses the deterministic "
-            "hash-projection stand-in instead."
-        )
-
-
 ALIGN_KEEP_DOT = 2  # keep pairs with dot ≥ 2 of 64 (stand-in threshold)
 
 
 def image_caption_alignment(sf_dir: str):
     """Image↔caption alignment filtering — the CLIP-score gate of a
     web-scale image+caption pipeline (LAION keeps pairs with CLIP
-    cosine ≥ 0.28; same plumbing here with a deterministic stand-in
-    because no vision model ships in this container — see
-    RealClipScorer for the swap-in contract). Image embedding = the 64
-    pHash bits as a ±1 vector (metadata-only: bytes never read);
+    cosine ≥ 0.28; same plumbing here with a deterministic stand-in,
+    because the package ships no vision model). Image embedding = the
+    64 pHash bits as a ±1 vector (metadata-only: bytes never read);
     caption embedding = sign of the summed ±1 hash projections of its
     lowercased whitespace tokens (xxhash64 bits, zero-sum dims snap to
     +1). align_dot = ⟨img, caption⟩ ∈ [−64, 64] — an exact integer, so
@@ -6208,72 +4847,8 @@ def image_dedup_keep_best(sf_dir: str):
 
 
 # --------------------------------------------------------------------------
-# window functions, grouping sets, histograms, sketch-guided exact counts
+# grouping sets, histograms, quantiles, pivots
 # --------------------------------------------------------------------------
-
-
-def events_rank_windows(sf_dir: str):
-    """Per-user window functions in one pass: ROW_NUMBER ordered by
-    (ts, event_id), LAG gap to the previous event in µs, LEAD of the
-    next event_type — the rank/lag/lead window surface (reference has
-    only implicit ordering; this is the engine-scale generalization).
-    One coarse hash exchange by user, then ONE vectorized kernel per
-    partition: lexsort, boundary detection, arange-minus-start for rn,
-    shifted diffs for lag/lead. NULL frames are coalesced to sentinels
-    (-1 / '') on BOTH sides so the compare never depends on NULL↔NaN
-    dtype coercion."""
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-
-    def kernel(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy(np.int64)
-        ts = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        eid = g["event_id"].to_numpy(np.int64)
-        # NULL event_type coalesces to '' like the oracle's
-        # COALESCE(LEAD(event_type) OVER w, '')
-        et = g["event_type"].fillna("").to_numpy(dtype=object)
-        n = len(g)
-        if n == 0:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "user_id": pd.Series([], dtype="int64"),
-                    "rn": pd.Series([], dtype="int64"),
-                    "prev_gap_us": pd.Series([], dtype="int64"),
-                    "next_type": pd.Series([], dtype="object"),
-                }
-            )
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new_user)
-        # rn = position within user = global index - start of the run
-        run_start = np.repeat(starts, np.diff(np.append(starts, n)))
-        rn = np.arange(n, dtype=np.int64) - run_start + 1
-        prev_gap = np.empty(n, dtype=np.int64)
-        prev_gap[0] = -1
-        prev_gap[1:] = ts[1:] - ts[:-1]
-        prev_gap[new_user] = -1
-        next_type = np.empty(n, dtype=object)
-        next_type[:-1] = et[1:]
-        next_type[-1] = ""
-        last = np.append(starts[1:] - 1, n - 1)
-        next_type[last] = ""
-        return pd.DataFrame(
-            {
-                "event_id": eid,
-                "user_id": uid,
-                "rn": rn,
-                "prev_gap_us": prev_gap,
-                "next_type": next_type,
-            }
-        )
-
-    return (
-        ds.map_batches(_add_user_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
 
 
 def orders_cube(sf_dir: str):
@@ -6372,53 +4947,6 @@ def lang_length_quantiles(sf_dir: str):
         )
 
     return combined.repartition(1).map_batches(pcts, batch_format="pandas", batch_size=None)
-
-
-def events_heavy_hitters(sf_dir: str):
-    """Heavy hitters: every user with more than total/128 of all events,
-    via a Misra-Gries ('frequent') sketch pass + exact recount — the
-    streaming pattern that avoids a full-cardinality groupby at 100 TB.
-
-    Per block: exact value_counts compacted to a capacity-512 MG summary
-    (subtract the 513th-largest count, keep positives). Any key with
-    block share > 1/513 survives its block summary; a key with GLOBAL
-    share > 1/128 has ≥ that share in at least one block (pigeonhole),
-    so the union of block-summary keys is a superset of the answer —
-    no false negatives, ≤ 512×blocks candidate rows at any scale. The
-    exact recount then filters events to the candidate set (broadcast;
-    bounded by the summary size, not data size) and keeps counts
-    strictly above total/128."""
-    ds = _read(sf_dir, "events", ["user_id"])
-
-    def mg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df["user_id"].value_counts()
-        if len(vc) > 512:
-            cut = int(vc.iloc[512])  # the 513th-largest count
-            vc = (vc - cut)[lambda s: s > 0]
-        return pd.DataFrame({"user_id": vc.index.astype("int64")})
-
-    # count the BARE read (footer metadata): .count() on the mapped
-    # dataset would execute the whole read+strip lineage just to count
-    total = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"]).count()
-    cand = np.unique(
-        ds.map_batches(mg_partial, batch_format="pandas").to_pandas()["user_id"].to_numpy(np.int64)
-    )
-    cand_ref = ray.put(cand)
-
-    def recount(df: pd.DataFrame) -> pd.DataFrame:
-        keys = ray.get(cand_ref)
-        vc = df.loc[df["user_id"].isin(keys), "user_id"].value_counts()
-        return pd.DataFrame(
-            {"user_id": vc.index.astype("int64"), "n": vc.to_numpy().astype("int64")}
-        )
-
-    parts = ds.map_batches(recount, batch_format="pandas").to_pandas()
-    if len(parts) == 0:
-        return pd.DataFrame(
-            {"user_id": pd.Series([], dtype="int64"), "n": pd.Series([], dtype="int64")}
-        )
-    agg = parts.groupby("user_id", as_index=False).agg(n=("n", "sum"))
-    return agg[agg["n"] > total // 128].reset_index(drop=True)
 
 
 def orders_above_cust_avg(sf_dir: str):
@@ -6711,57 +5239,35 @@ QUERIES = {
     "doc_repetition_stats": doc_repetition_stats,
     "doc_bigram_topk": doc_bigram_topk,
     "doc_top_terms": doc_top_terms,
-    "events_type_hll": events_type_hll,
-    "events_sessions": events_sessions,
-    "events_asof_attribution": events_asof_attribution,
-    "events_latest_per_user": events_latest_per_user,
     "orders_basket_affinity": orders_basket_affinity,
-    "events_json_stats": events_json_stats,
     "top_spenders": top_spenders,
     "priority_by_region": priority_by_region,
     "customers_without_orders": customers_without_orders,
     "customer_order_counts": customer_order_counts,
     "orders_with_building_customer": orders_with_building_customer,
     "customers_rfm": customers_rfm,
-    "events_hourly": events_hourly,
     "users_first_seen_late": users_first_seen_late,
     "doc_char_stats": doc_char_stats,
     "customer_event_outer": customer_event_outer,
     "orders_rollup": orders_rollup,
     "orders_cube": orders_cube,
-    "events_rank_windows": events_rank_windows,
     "doc_length_histogram": doc_length_histogram,
     "lang_length_quantiles": lang_length_quantiles,
-    "events_heavy_hitters": events_heavy_hitters,
     "orders_above_cust_avg": orders_above_cust_avg,
     "orders_pivot": orders_pivot,
-    "events_value_ntile": events_value_ntile,
-    "events_sliding_counts": events_sliding_counts,
     "doc_length_percentiles": doc_length_percentiles,
-    "events_user_hll": events_user_hll,
-    "events_user_cms": events_user_cms,
     "customers_in_events_bloom": customers_in_events_bloom,
-    "events_user_active_time": events_user_active_time,
     "orders_events_key_overlap": orders_events_key_overlap,
     "embedding_cluster_assign": embedding_cluster_assign,
-    "events_cumulative_users": events_cumulative_users,
     "orders_monthly_growth": orders_monthly_growth,
-    "events_profile": events_profile,
     "doc_bm25_scores": doc_bm25_scores,
     "doc_bm25_topk": doc_bm25_topk,
     "doc_ks_drift": doc_ks_drift,
-    "events_user_paths": events_user_paths,
-    "events_state_intervals": events_state_intervals,
-    "events_gap_fill": events_gap_fill,
     "doc_feature_hash": doc_feature_hash,
     "doc_length_zscore": doc_length_zscore,
-    "events_transition_matrix": events_transition_matrix,
     "doc_char_entropy": doc_char_entropy,
-    "events_retention_cohorts": events_retention_cohorts,
-    "events_anomaly_mad": events_anomaly_mad,
     "customers_pareto_80": customers_pareto_80,
     "embedding_quantize_int8": embedding_quantize_int8,
-    "events_dau_stickiness": events_dau_stickiness,
     "doc_bpe_pack_windows": doc_bpe_pack_windows,
     "embedding_cluster_purity": embedding_cluster_purity,
     "doc_bpe_tokenize": doc_bpe_tokenize,
@@ -6770,12 +5276,7 @@ QUERIES = {
     "orders_fulfillment_days": orders_fulfillment_days,
     "orders_duplicate_payments": orders_duplicate_payments,
     "doc_unigram_perplexity": doc_unigram_perplexity,
-    "events_value_benford": events_value_benford,
-    "events_profile_approx": events_profile_approx,
-    "events_value_p99_sketch": events_value_p99_sketch,
     "embedding_covariance": embedding_covariance,
-    "events_range_join": events_range_join,
-    "events_funnel": events_funnel,
     "doc_step_pipeline": doc_step_pipeline,
     "doc_inverted_index": doc_inverted_index,
     "crawl_order": crawl_order,
@@ -6888,15 +5389,6 @@ assert list(QUERIES)[: len(_DRIVER_WINDOW)] == _DRIVER_WINDOW
 #    downstream components, but non-hub direct pairs are not rows.
 #    Reachable only on 201+ hashes sharing one 16-bit band (identical
 #    logos / boilerplate at production scale, never in the fixtures).
-# 4. events_json_stats error semantics: the oracle's hard CAST raises
-#    on a non-castable extracted value ("k":"xyz", "k":[1]) and
-#    json_extract raises on malformed JSON; the kernel drops those
-#    rows (TRY_CAST semantics) — an engine operator cannot fail the
-#    whole job on one bad row. Value/shape semantics otherwise match
-#    json_extract_string+CAST exactly (nested/string/float/exponent
-#    shapes pinned against DuckDB in test_events_json_stats_
-#    adversarial_props); fixtures carry flat integer props, where
-#    CAST == TRY_CAST and nothing raises.
 ORACLES = {
     "doc_passage_dedup": """
         WITH w AS (
@@ -7043,15 +5535,6 @@ ORACLES = {
         WHERE o_orderpriority IS NOT NULL AND o_orderstatus IS NOT NULL
         GROUP BY CUBE(o_orderpriority, o_orderstatus)
     """,
-    "events_rank_windows": """
-        SELECT event_id, user_id,
-               CAST(ROW_NUMBER() OVER w AS BIGINT) AS rn,
-               CAST(COALESCE(
-                   epoch_us(ts) - epoch_us(LAG(ts) OVER w), -1) AS BIGINT) AS prev_gap_us,
-               COALESCE(LEAD(event_type) OVER w, '') AS next_type
-        FROM events
-        WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-    """,
     "doc_length_histogram": """
         WITH b AS (
             SELECT LEAST(n_chars // 200, 19) AS bucket, COUNT(*) AS n
@@ -7078,19 +5561,6 @@ ORACLES = {
         FROM (VALUES (CAST(50 AS BIGINT)), (90)) p(pct), w
         WHERE w.cum >= (p.pct * w.n + 99) // 100
         GROUP BY w.lang, p.pct
-    """,
-    "events_heavy_hitters": """
-        SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n
-        FROM events
-        GROUP BY user_id
-        HAVING COUNT(*) > (SELECT COUNT(*) FROM events) // 128
-    """,
-    "events_value_ntile": """
-        SELECT event_id, user_id,
-               CAST(NTILE(4) OVER (
-                   PARTITION BY user_id ORDER BY value, event_id
-               ) AS BIGINT) AS tile
-        FROM events
     """,
     "orders_above_cust_avg": """
         WITH s AS (
@@ -7178,14 +5648,6 @@ ORACLES = {
                100 * r_q + 10 * f_q + m_q AS segment
         FROM t
     """,
-    "events_hourly": """
-        SELECT user_id, date_trunc('hour', ts) AS window_start,
-               COUNT(*) AS n_events,
-               CAST(SUM(CAST(FLOOR(COALESCE(value, 0)*1000000 + 0.5) AS BIGINT)) AS BIGINT) AS sum_value_micros
-        FROM events
-        WHERE ts IS NOT NULL
-        GROUP BY user_id, date_trunc('hour', ts)
-    """,
     "users_first_seen_late": """
         WITH bounds AS (SELECT MIN(ts) AS tmin, MAX(ts) AS tmax FROM events),
         cutoff AS (SELECT tmin + (tmax - tmin)/2 AS c FROM bounds)
@@ -7268,45 +5730,6 @@ ORACLES = {
         JOIN sizes sa ON inter.doc_a = sa.doc_id
         JOIN sizes sb ON inter.doc_b = sb.doc_id
         WHERE CAST(isect AS DOUBLE) / CAST(sa.n + sb.n - isect AS DOUBLE) >= 0.5
-    """,
-    "events_sessions": """
-        WITH flagged AS (
-            SELECT user_id, ts,
-                   CASE WHEN ts - LAG(ts) OVER (PARTITION BY user_id ORDER BY ts)
-                             > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new_sess
-            FROM events
-        ),
-        sess AS (
-            SELECT user_id, ts,
-                   SUM(new_sess) OVER (PARTITION BY user_id ORDER BY ts ROWS UNBOUNDED PRECEDING) AS sid
-            FROM flagged
-        )
-        SELECT user_id, MIN(ts) AS session_start, COUNT(*) AS n_events,
-               CAST(epoch_us(MAX(ts)) - epoch_us(MIN(ts)) AS BIGINT) AS duration_us
-        FROM sess GROUP BY user_id, sid
-    """,
-    "events_sliding_counts": """
-        SELECT event_id, user_id,
-               CAST(COUNT(*) OVER w AS BIGINT) AS cnt_1h,
-               CAST(SUM(CAST(FLOOR(COALESCE(value, 0)*1000000 + 0.5) AS BIGINT)) OVER w AS BIGINT)
-                   AS sum_value_micros_1h
-        FROM events
-        WHERE ts IS NOT NULL
-        WINDOW w AS (PARTITION BY user_id ORDER BY ts
-                     RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)
-    """,
-    "events_asof_attribution": """
-        SELECT click_id, user_id, view_id, gap_us FROM (
-            SELECT c.event_id AS click_id, c.user_id,
-                   v.event_id AS view_id,
-                   CAST(epoch_us(c.ts) - epoch_us(v.ts) AS BIGINT) AS gap_us,
-                   row_number() OVER (PARTITION BY c.event_id
-                                      ORDER BY v.ts DESC, v.event_id DESC) AS rn
-            FROM events c
-            JOIN events v ON v.user_id = c.user_id AND v.ts <= c.ts
-                         AND v.event_type = 'view'
-            WHERE c.event_type = 'click'
-        ) WHERE rn = 1
     """,
     # exact brute-force cosine top-k (ties broken by neighbor_id ASC,
     # self-match excluded — mirrors training.ann_brute_topk)
@@ -7461,31 +5884,6 @@ ORACLES = {
         SELECT doc_id, fingerprint FROM short
         UNION ALL
         SELECT doc_id, fingerprint FROM long
-    """,
-    "events_funnel": """
-        SELECT v.user_id, CAST(MIN(epoch_us(p.ts)) AS BIGINT) AS completion_us
-        FROM events v
-        JOIN events c ON c.user_id = v.user_id AND c.event_type = 'click'
-             AND (c.ts, c.event_id) > (v.ts, v.event_id)
-        JOIN events p ON p.user_id = v.user_id AND p.event_type = 'purchase'
-             AND (p.ts, p.event_id) > (c.ts, c.event_id)
-        WHERE v.event_type = 'view'
-          AND epoch_us(p.ts) - epoch_us(v.ts) <= 604800000000
-        GROUP BY v.user_id
-    """,
-    "events_range_join": """
-        WITH h AS (
-            SELECT date_trunc('hour', ts) AS hh, count(*) AS n
-            FROM events GROUP BY 1
-        ),
-        busy AS (
-            SELECT epoch_us(hh) AS win_start,
-                   epoch_us(hh) + 7200000000 AS win_end
-            FROM h WHERE n >= 4
-        )
-        SELECT e.event_id, b.win_start
-        FROM events e
-        JOIN busy b ON epoch_us(e.ts) >= b.win_start AND epoch_us(e.ts) < b.win_end
     """,
     "doc_pack_windows": """
         WITH toks AS (
@@ -8015,99 +6413,6 @@ def _curation_oracle_sql() -> str:
     """
 
 
-def _hll_oracle_sql() -> str:
-    """Replay hll_registers bit-for-bit: salted splitmix64 avalanche,
-    bucket = top 12 bits, rho = leading-zero rank of the low 52 bits
-    (exact integer logic via bin/instr — no float log), max per bucket."""
-    from ..functions.sketch import HLL_SALT, _W_BITS
-
-    w_mod = 1 << _W_BITS
-    return f"""
-        SELECT bucket, MAX(rho) AS rho FROM (
-            SELECT CAST(hv >> {_W_BITS} AS BIGINT) AS bucket,
-                   CAST(CAST(hv AS HUGEINT) % {w_mod} AS BIGINT) AS w,
-                   CASE WHEN CAST(hv AS HUGEINT) % {w_mod} = 0 THEN {_W_BITS + 1}
-                        ELSE CAST(instr(lpad(bin(CAST(CAST(hv AS HUGEINT) % {w_mod} AS BIGINT)),
-                             {_W_BITS}, '0'), '1') AS BIGINT) END AS rho
-            FROM (
-                SELECT {_sql_mm64('user_id', int(HLL_SALT))} AS h0,
-                       {_sql_avalanche_select('h0', 'hv')}
-                FROM events
-            )
-        ) GROUP BY bucket
-    """
-
-
-def _hll_grouped_oracle_sql() -> str:
-    """Per-event_type replay of the HLL register state — the grouped
-    variant of _hll_oracle_sql, same integer bit logic."""
-    from ..functions.sketch import HLL_SALT, _W_BITS
-
-    w_mod = 1 << _W_BITS
-    return f"""
-        SELECT event_type, bucket, MAX(rho) AS rho FROM (
-            SELECT event_type, CAST(hv >> {_W_BITS} AS BIGINT) AS bucket,
-                   CASE WHEN CAST(hv AS HUGEINT) % {w_mod} = 0 THEN {_W_BITS + 1}
-                        ELSE CAST(instr(lpad(bin(CAST(CAST(hv AS HUGEINT) % {w_mod} AS BIGINT)),
-                             {_W_BITS}, '0'), '1') AS BIGINT) END AS rho
-            FROM (
-                SELECT event_type, {_sql_mm64('user_id', int(HLL_SALT))} AS h0,
-                       {_sql_avalanche_select('h0', 'hv')}
-                FROM events
-            )
-        ) GROUP BY event_type, bucket
-    """
-
-
-def _cms_oracle_sql() -> str:
-    """Replay events_user_cms end-to-end: four independent salted
-    avalanche chains (one stacked CTE per sketch row, so the chain's
-    lateral aliases stay scoped), register value = SUM of counts
-    hashing to the column, estimate = LEAST across the four rows —
-    all integer arithmetic, bit-exact vs the numpy kernel."""
-    from ..functions.sketch import CMS_SALTS, CMS_W
-
-    ctes = [
-        "ev AS (SELECT CAST(user_id AS BIGINT) AS uid, COUNT(*) AS cnt "
-        "FROM events GROUP BY 1)"
-    ]
-    prev = "ev"
-    carry_cols = ["uid", "cnt"]
-    for i, s in enumerate(CMS_SALTS):
-        sel = ", ".join(carry_cols)
-        ctes.append(
-            f"h{i} AS (SELECT {sel}, "
-            f"{_sql_mm64('uid', int(s))} AS s{i}, "
-            f"{_sql_avalanche_select(f's{i}', f'hv{i}')} FROM {prev})"
-        )
-        ctes.append(
-            f"g{i} AS (SELECT {sel}, "
-            f"CAST(CAST(hv{i} AS HUGEINT) % {CMS_W} AS BIGINT) AS c{i} FROM h{i})"
-        )
-        carry_cols.append(f"c{i}")
-        prev = f"g{i}"
-    cols = ", ".join(f"c{i}" for i in range(len(CMS_SALTS)))
-    reg_ctes = ", ".join(
-        f"reg{i} AS (SELECT c{i} AS c, CAST(SUM(cnt) AS BIGINT) AS s "
-        f"FROM cols GROUP BY c{i})"
-        for i in range(len(CMS_SALTS))
-    )
-    joins = " ".join(
-        f"JOIN reg{i} r{i} ON r{i}.c = t.c{i}" for i in range(len(CMS_SALTS))
-    )
-    least = ", ".join(f"r{i}.s" for i in range(len(CMS_SALTS)))
-    return f"""
-        WITH {', '.join(ctes)},
-        cols AS (SELECT uid, cnt, {cols} FROM {prev}),
-        {reg_ctes},
-        top AS (SELECT uid, cnt, {cols} FROM cols
-                ORDER BY cnt DESC, uid LIMIT 20)
-        SELECT t.uid AS user_id, CAST(t.cnt AS BIGINT) AS exact_cnt,
-               CAST(LEAST({least}) AS BIGINT) AS cms_est
-        FROM top t {joins}
-    """
-
-
 def _bloom_oracle_sql() -> str:
     """Replay customers_in_events_bloom bit-for-bit: the BLOOM_K salted
     avalanche chains (same stacked-CTE scoping trick as the CMS oracle)
@@ -8157,33 +6462,6 @@ def _bloom_oracle_sql() -> str:
 
 
 ORACLES["customers_in_events_bloom"] = _bloom_oracle_sql()
-ORACLES["events_user_active_time"] = """
-    WITH t AS (
-        SELECT CAST(user_id AS BIGINT) AS user_id,
-               CAST(epoch_us(ts) AS BIGINT) AS s
-        FROM events
-    ),
-    o AS (
-        SELECT user_id, s,
-               CASE WHEN LAG(s) OVER w IS NULL
-                         OR s > LAG(s) OVER w + 300000000
-                    THEN 1 ELSE 0 END AS brk
-        FROM t WINDOW w AS (PARTITION BY user_id ORDER BY s)
-    ),
-    seg AS (
-        SELECT user_id, s,
-               SUM(brk) OVER (PARTITION BY user_id ORDER BY s
-                              ROWS UNBOUNDED PRECEDING) AS seg_id
-        FROM o
-    ),
-    isl AS (
-        SELECT user_id, seg_id,
-               MAX(s) + 300000000 - MIN(s) AS len
-        FROM seg GROUP BY 1, 2
-    )
-    SELECT user_id, CAST(SUM(len) AS BIGINT) AS active_us
-    FROM isl GROUP BY 1
-"""
 def _shuffle_oracle_sql() -> str:
     """Replay global_shuffle_rank's hash chain (avalanche of doc_id *
     SHUFFLE_SALT, exact 64-bit wrap) and its (h, id) total order."""
@@ -8256,16 +6534,6 @@ ORACLES["embedding_covariance"] = """
            CAST(sa.n * p.sxy - sa.sx * sb.sx AS BIGINT) AS cov_num
     FROM p JOIN s sa ON sa.i = p.i JOIN s sb ON sb.i = p.j
 """
-ORACLES["events_profile"] = " UNION ALL ".join(
-    f"""
-    SELECT '{c}' AS col_name,
-           CAST(COUNT(*) AS BIGINT) AS n,
-           CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS n_null,
-           CAST(COUNT(DISTINCT {c}) AS BIGINT) AS n_distinct
-    FROM events
-    """
-    for c in ["event_id", "ts", "user_id", "event_type", "value", "props"]
-)
 ORACLES["doc_weighted_sample"] = f"""
     SELECT doc_id, CAST(ws_tokens AS BIGINT) AS ws_tokens FROM (
         SELECT CAST(doc_id AS BIGINT) AS doc_id,
@@ -8433,48 +6701,6 @@ ORACLES["doc_ks_drift"] = """
            CAST(ks_num AS DOUBLE) / CAST(n_a * n_b AS DOUBLE) AS ks_stat
     FROM ks
 """
-ORACLES["events_user_paths"] = """
-    WITH o AS (
-        SELECT user_id, event_type,
-               row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-        FROM events WHERE ts IS NOT NULL
-    ),
-    p AS (
-        SELECT user_id, string_agg(event_type, '>' ORDER BY rn) AS path
-        FROM o WHERE rn <= 8 GROUP BY user_id
-    )
-    SELECT path, CAST(COUNT(*) AS BIGINT) AS n_users FROM p GROUP BY path
-"""
-ORACLES["events_state_intervals"] = """
-    WITH o AS (
-        SELECT user_id, event_type, ts,
-               row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn,
-               lag(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev
-        FROM events WHERE ts IS NOT NULL
-    ),
-    b AS (
-        SELECT user_id, event_type, ts, rn,
-               SUM(CASE WHEN prev IS NULL OR prev <> event_type THEN 1 ELSE 0 END)
-                   OVER (PARTITION BY user_id ORDER BY rn) AS run_id
-        FROM o
-    )
-    SELECT user_id, event_type AS state, MIN(ts) AS valid_from, MAX(ts) AS valid_to,
-           CAST(COUNT(*) AS BIGINT) AS n_events
-    FROM b GROUP BY user_id, event_type, run_id
-"""
-ORACLES["events_gap_fill"] = """
-    WITH c AS (
-        SELECT event_type, date_trunc('hour', ts) AS hr, CAST(COUNT(*) AS BIGINT) AS n
-        FROM events WHERE ts IS NOT NULL GROUP BY 1, 2
-    ),
-    b AS (SELECT event_type, MIN(hr) AS mn, MAX(hr) AS mx FROM c GROUP BY 1),
-    g AS (
-        SELECT event_type, unnest(generate_series(mn, mx, INTERVAL 1 HOUR)) AS hr
-        FROM b
-    )
-    SELECT g.event_type, g.hr AS hour_ts, CAST(coalesce(c.n, 0) AS BIGINT) AS n
-    FROM g LEFT JOIN c ON c.event_type = g.event_type AND c.hr = g.hr
-"""
 
 
 def _feature_hash_oracle_sql() -> str:
@@ -8536,18 +6762,6 @@ ORACLES["doc_length_zscore"] = """
 """
 
 
-ORACLES["events_transition_matrix"] = """
-    WITH o AS (
-        SELECT user_id, event_type,
-               lag(event_type) OVER (
-                   PARTITION BY user_id ORDER BY ts, event_id) AS prev
-        FROM events WHERE ts IS NOT NULL
-    )
-    SELECT prev AS prev_type, event_type AS next_type,
-           CAST(COUNT(*) AS BIGINT) AS n
-    FROM o WHERE prev IS NOT NULL
-    GROUP BY 1, 2
-"""
 ORACLES["doc_char_entropy"] = """
     WITH chars AS (
         SELECT CAST(doc_id AS BIGINT) AS doc_id,
@@ -8567,42 +6781,6 @@ ORACLES["doc_char_entropy"] = """
                 AS DOUBLE) / 1048576.0
            - CAST(S AS DOUBLE) / (CAST(n AS DOUBLE) * 1048576.0) AS entropy
     FROM s
-"""
-ORACLES["events_retention_cohorts"] = """
-    WITH f AS (
-        SELECT user_id, date_trunc('week', MIN(ts)) AS cohort
-        FROM events WHERE ts IS NOT NULL GROUP BY 1
-    ),
-    a AS (
-        SELECT DISTINCT user_id, date_trunc('week', ts) AS m
-        FROM events WHERE ts IS NOT NULL
-    )
-    SELECT f.cohort AS cohort_week, a.m AS active_week,
-           CAST(COUNT(*) AS BIGINT) AS n_users
-    FROM a JOIN f USING (user_id) GROUP BY 1, 2
-"""
-ORACLES["events_anomaly_mad"] = """
-    WITH c AS (
-        SELECT event_type, date_trunc('hour', ts) AS hr, CAST(COUNT(*) AS BIGINT) AS n
-        FROM events WHERE ts IS NOT NULL GROUP BY 1, 2
-    ),
-    m AS (
-        SELECT event_type,
-               CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY n) AS BIGINT) AS med
-        FROM c GROUP BY 1
-    ),
-    d AS (
-        SELECT c.event_type, hr, n, abs(n - med) AS dev
-        FROM c JOIN m USING (event_type)
-    ),
-    md AS (
-        SELECT event_type,
-               CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY dev) AS BIGINT) AS mad
-        FROM d GROUP BY 1
-    )
-    SELECT d.event_type, d.hr AS hour_ts, d.n
-    FROM d JOIN md USING (event_type)
-    WHERE d.dev > 3 * md.mad
 """
 ORACLES["customers_pareto_80"] = """
     WITH r AS (
@@ -8634,21 +6812,6 @@ ORACLES["embedding_quantize_int8"] = """
                 ELSE floor(((x.v - s.mn) * 255.0) / (s.mx - s.mn) + 0.5)
                 END AS BIGINT) AS q
     FROM x JOIN s USING (i)
-"""
-ORACLES["events_dau_stickiness"] = """
-    WITH d AS (
-        SELECT date_trunc('day', ts) AS day_ts,
-               CAST(COUNT(DISTINCT user_id) AS BIGINT) AS dau
-        FROM events WHERE ts IS NOT NULL GROUP BY 1
-    ),
-    w AS (
-        SELECT date_trunc('week', ts) AS wk,
-               CAST(COUNT(DISTINCT user_id) AS BIGINT) AS wau
-        FROM events WHERE ts IS NOT NULL GROUP BY 1
-    )
-    SELECT d.day_ts, d.dau, w.wau,
-           CAST(d.dau AS DOUBLE) / CAST(w.wau AS DOUBLE) AS stickiness
-    FROM d JOIN w ON date_trunc('week', d.day_ts) = w.wk
 """
 ORACLES["doc_bpe_pair_counts"] = """
     WITH toks AS (
@@ -8722,15 +6885,6 @@ ORACLES["doc_unigram_perplexity"] = """
            - CAST(S AS DOUBLE) / (CAST(n AS DOUBLE) * 1048576.0) AS nll_bits
     FROM d, t
 """
-ORACLES["events_value_benford"] = """
-    WITH c AS (
-        SELECT CAST(floor(coalesce(value, 0.0) * 100 + 0.5) AS BIGINT) AS cents
-        FROM events
-    )
-    SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) AS digit,
-           CAST(COUNT(*) AS BIGINT) AS n
-    FROM c WHERE cents > 0 GROUP BY 1
-"""
 _MIX_PLAN_SQL_CTES = f"""
     tt AS (
         SELECT lang,
@@ -8762,44 +6916,6 @@ ORACLES["doc_sample_by_plan"] = f"""
     FROM s JOIN plan p USING (lang)
     WHERE hv % 1000000 < p.rate_micros
 """
-ORACLES["events_value_p99_sketch"] = """
-    WITH v AS (
-        SELECT event_type,
-               CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents
-        FROM events
-    ),
-    b AS (
-        SELECT event_type,
-               CASE WHEN cents <= 0 THEN 0
-                    ELSE length(bin(cents)) END AS bucket
-        FROM v
-    ),
-    c AS (SELECT event_type, bucket, COUNT(*) AS n FROM b GROUP BY 1, 2),
-    cum AS (
-        SELECT event_type, bucket,
-               SUM(n) OVER (PARTITION BY event_type ORDER BY bucket
-                            ROWS UNBOUNDED PRECEDING) AS cum,
-               SUM(n) OVER (PARTITION BY event_type) AS total
-        FROM c
-    )
-    SELECT event_type, CAST(MAX(total) AS BIGINT) AS n,
-           CAST((1::BIGINT << MIN(CASE WHEN cum >= (total * 50 + 99) // 100
-                                       THEN bucket END)) - 1 AS BIGINT) AS p50_cents,
-           CAST((1::BIGINT << MIN(CASE WHEN cum >= (total * 95 + 99) // 100
-                                       THEN bucket END)) - 1 AS BIGINT) AS p95_cents,
-           CAST((1::BIGINT << MIN(CASE WHEN cum >= (total * 99 + 99) // 100
-                                       THEN bucket END)) - 1 AS BIGINT) AS p99_cents
-    FROM cum
-    GROUP BY event_type
-"""
-ORACLES["events_latest_per_user"] = """
-    SELECT user_id, event_id AS last_event_id,
-           event_type AS last_event_type, ts AS last_ts
-    FROM events
-    QUALIFY ROW_NUMBER() OVER (
-        PARTITION BY user_id ORDER BY ts DESC, event_id DESC
-    ) = 1
-"""
 ORACLES["embedding_cluster_assign"] = """
     WITH c AS (
         SELECT CAST(vec_id AS BIGINT) AS cid, embedding AS cv
@@ -8815,17 +6931,6 @@ ORACLES["embedding_cluster_assign"] = """
     QUALIFY ROW_NUMBER() OVER (
         PARTITION BY vec_id ORDER BY sim DESC, cid
     ) = 1
-"""
-ORACLES["events_cumulative_users"] = """
-    WITH f AS (
-        SELECT user_id, MIN(strftime(ts, '%Y-%m-%d')) AS day
-        FROM events GROUP BY 1
-    ),
-    d AS (SELECT day, COUNT(*) AS new_users FROM f GROUP BY 1)
-    SELECT day, CAST(new_users AS BIGINT) AS new_users,
-           CAST(SUM(new_users) OVER (
-               ORDER BY day ROWS UNBOUNDED PRECEDING) AS BIGINT) AS cum_users
-    FROM d
 """
 ORACLES["orders_monthly_growth"] = """
     WITH m AS (
@@ -8852,9 +6957,6 @@ ORACLES["orders_events_key_overlap"] = """
         CAST((SELECT COUNT(*) FROM o
               WHERE k IN (SELECT k FROM e)) AS BIGINT) AS n_both
 """
-ORACLES["events_user_hll"] = _hll_oracle_sql()
-ORACLES["events_type_hll"] = _hll_grouped_oracle_sql()
-ORACLES["events_user_cms"] = _cms_oracle_sql()
 ORACLES["doc_minhash_near_dup"] = _minhash_oracle_sql()
 ORACLES["doc_minhash_eval"] = _minhash_eval_oracle_sql()
 ORACLES["doc_containment_near_dup"] = _minhash_oracle_sql(
@@ -9006,20 +7108,6 @@ ORACLES["doc_curriculum_manifest"] = """
     FROM kept
 """
 
-ORACLES["events_json_stats"] = """
-    WITH x AS (
-        SELECT event_type,
-               CAST(json_extract_string(props, '$.k') AS BIGINT) AS k
-        FROM events
-    )
-    SELECT event_type,
-           CAST(COUNT(*) AS BIGINT) AS n,
-           CAST(SUM(k) AS BIGINT) AS sum_k,
-           CAST(MIN(k) AS BIGINT) AS min_k,
-           CAST(MAX(k) AS BIGINT) AS max_k
-    FROM x WHERE k IS NOT NULL
-    GROUP BY 1
-"""
 
 ORACLES["embedding_knn_classify"] = """
     WITH nn AS (

@@ -344,62 +344,3 @@ def anti_join_keys(
     return hash_join(left, right_keys.select_columns([on]), on=on, n_parts=n_parts, how="anti")
 
 
-def range_join_intervals(
-    points: rd.Dataset,
-    intervals: pd.DataFrame,
-    ts_col: str,
-    start_col: str = "win_start",
-    end_col: str = "win_end",
-    n_parts: int = 64,
-) -> rd.Dataset:
-    """Range (interval) join Ray Data lacks natively: match each point
-    row to every interval with ``start <= ts < end``. The interval side
-    is the small side (window/campaign/maintenance tables — thousands to
-    millions of rows), broadcast ONCE via ``ray.put`` as two sorted
-    int64 arrays; each point batch finds its matches with two
-    ``np.searchsorted`` probes and a bounded ``np.repeat`` expansion —
-    no shuffle at all, no per-row Python.
-
-    Requires intervals sorted by start with a BOUNDED maximum length L
-    (computed here): a point at ``ts`` can only match intervals whose
-    start lies in ``(ts - L, ts]``, which is a contiguous run of the
-    start-sorted table. Fan-out per point is bounded by the max overlap
-    degree, so output stays proportional to the true match count.
-    For an interval side too big to broadcast, range-partition BOTH
-    sides by time with intervals replicated into every partition they
-    overlap (same replication trick as the wide as-of join) — not
-    needed at any realistic window-table size.
-    """
-    iv = intervals.sort_values(start_col, kind="mergesort").reset_index(drop=True)
-    starts = iv[start_col].to_numpy(dtype=np.int64)
-    ends = iv[end_col].to_numpy(dtype=np.int64)
-    max_len = int((ends - starts).max()) if len(iv) else 0
-    # broadcast as an ARROW table: column types survive empty takes, so
-    # no-match/empty batches keep the same output schema as matching ones
-    # (string label columns included)
-    iv_tab = pa.Table.from_pandas(iv, preserve_index=False).replace_schema_metadata(None)
-    iv_ref = ray.put((starts, ends, iv_tab))
-
-    def kernel(t: pa.Table) -> pa.Table:
-        starts_, ends_, iv_ = ray.get(iv_ref)
-        ts = t[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if not len(starts_) or not len(ts):
-            row_rep = np.empty(0, dtype=np.int64)
-            cand = np.empty(0, dtype=np.int64)
-        else:
-            # candidate run: starts in [ts - L, ts]; the lower bound may
-            # admit already-ended intervals — the ``ok`` filter drops them
-            lo = np.searchsorted(starts_, ts - max_len, side="left")
-            hi = np.searchsorted(starts_, ts, side="right")
-            n_cand = np.maximum(hi - lo, 0)
-            row_rep = np.repeat(np.arange(len(ts)), n_cand)
-            cand = np.arange(int(n_cand.sum())) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand) + lo[row_rep]
-            ok = ts[row_rep] < ends_[cand]  # start <= ts is implied by cand <= hi
-            row_rep, cand = row_rep[ok], cand[ok]
-        out = t.take(pa.array(row_rep, type=pa.int64()))
-        idx = pa.array(cand, type=pa.int64())
-        for c in iv_.column_names:
-            out = out.append_column(c, iv_.column(c).take(idx))
-        return out
-
-    return points.map_batches(kernel, batch_format="pyarrow")

@@ -1835,41 +1835,3 @@ def pack_windows_shuffled(
 
     narrow = hash_join(toks, ranks, on=id_col, post=add_p).materialize()
     return _pack_spans(narrow, id_col, "shuffle_rank", capacity)
-
-
-# --------------------------------------------------------------------------
-# HyperLogLog approximate distinct (shuffle-free sketch)
-# --------------------------------------------------------------------------
-
-
-def hll_registers(ds: rd.Dataset, key_col: str) -> rd.Dataset:
-    """Distributed HyperLogLog state over ``key_col``: each batch folds
-    into sparse (bucket, rho) partials inside map_batches — registers
-    max-merge associatively, so only ≤4096-row partial tables ever
-    leave a task — and one tiny groupby().max finishes the merge. The
-    register table is integer-exact and SQL-replayable (see the
-    events_user_hll oracle); ``functions.sketch.hll_estimate`` turns it
-    into the distinct-count estimate (pinned by pytest vs exact)."""
-    from ray.data.aggregate import Max
-
-    from ..functions.sketch import hll_partial
-
-    def kernel(t: pa.Table) -> pa.Table:
-        keys = pc.cast(t[key_col], pa.int64()).to_numpy(zero_copy_only=False)
-        bucket, rho = hll_partial(keys)
-        return pa.table({"bucket": pa.array(bucket, type=pa.int64()),
-                         "rho": pa.array(rho, type=pa.int64())})
-
-    partials = ds.map_batches(kernel, batch_format="pyarrow")
-    return partials.groupby("bucket").aggregate(Max("rho", alias_name="rho"))
-
-
-def approx_distinct(ds: rd.Dataset, key_col: str) -> float:
-    """HLL distinct-count estimate of ``key_col`` (~1.6% typical error
-    at p=12). Materializes only the 4 KB register table."""
-    from ..functions.sketch import hll_estimate, HLL_M
-
-    regs_df = hll_registers(ds, key_col).to_pandas()
-    regs = np.zeros(HLL_M, dtype=np.int64)
-    regs[regs_df["bucket"].to_numpy()] = regs_df["rho"].to_numpy()
-    return hll_estimate(regs)

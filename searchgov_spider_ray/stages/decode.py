@@ -133,13 +133,6 @@ def phash64_from_smalls(smalls: np.ndarray) -> np.ndarray:
     return bits.astype(np.uint64) @ _POW2
 
 
-def phash64_batch(byte_rows: list[bytes]) -> np.ndarray:
-    if not byte_rows:
-        return np.empty(0, dtype=np.uint64)
-    smalls = np.stack([_small32(fake_decode(b)[0]) for b in byte_rows])
-    return phash64_from_smalls(smalls)
-
-
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; inf for identical images."""
     mse = np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2)

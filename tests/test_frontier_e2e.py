@@ -514,6 +514,30 @@ class TestMicroRounds:
         finally:
             runner.close()
 
+    def test_manifest_read_once_per_round(self, corpus_dir, sim_env, tmp_path, monkeypatch):
+        """run() reads each round's manifest once and hands its
+        frontier_rows to the round; the round does not read it again."""
+        from searchgov_spider_ray.state.checkpoint import CheckpointStore
+
+        _, _, sites, _ = sim_env
+        cfg = CrawlConfig(round_seconds=ROUND_SECONDS, num_shards=4)
+        runner = CrawlJobRunner(sites["plain"], corpus_dir, tmp_path / "out", cfg)
+        calls = []
+        read_manifest = CheckpointStore.read_manifest
+
+        def counted(self, k):
+            calls.append(k)
+            return read_manifest(self, k)
+
+        monkeypatch.setattr(CheckpointStore, "read_manifest", counted)
+        try:
+            res = runner.run()
+            assert res.rounds > 2
+            # one read per round, plus the read of the drained frontier
+            assert len(calls) == res.rounds + 1
+        finally:
+            runner.close()
+
     def test_back_to_back_runners_match_simulator(self, corpus_dir, sim_env, tmp_path):
         """A second runner in the same Ray session puts new kernel refs,
         so its tasks never reuse the first runner's warm kernels; both

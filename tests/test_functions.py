@@ -240,82 +240,6 @@ class TestInSorted:
         assert _in_sorted(np.array([], dtype=np.int64), np.array([1, 2], dtype=np.int64)).tolist() == [False, False]
 
 
-class TestSlidingWindow:
-    """events_sliding_counts RANGE-frame edge semantics: peers at an
-    identical ts share one frame, the 1-hour-preceding boundary is
-    inclusive, and 1h+1us is exclusive — pinned against hand-computed
-    expectations (the sf fixtures only exercise random gaps)."""
-
-    def test_range_frame_boundaries(self, ray_session, tmp_path):
-        import pandas as pd
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from searchgov_spider_ray.pipelines.queries import events_sliding_counts
-
-        ts = pd.to_datetime(
-            format="ISO8601",
-            arg=[
-                "2024-01-01 00:00:00",
-                "2024-01-01 00:30:00",
-                "2024-01-01 01:00:00",  # exactly 1h after e0: inclusive
-                "2024-01-01 01:00:00",  # peer row, same frame as above
-                "2024-01-01 02:00:00.000001",  # 1h+1us after the peers: exclusive
-            ]
-        ).astype("datetime64[us]")
-        df = pd.DataFrame(
-            {
-                "event_id": pd.Series(range(5), dtype="int64"),
-                "ts": ts,
-                "user_id": pd.Series([7] * 5, dtype="int64"),
-                "value": [1.25] * 5,
-            }
-        )
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp_path / "events.parquet")
-
-        out = events_sliding_counts(str(tmp_path)).to_pandas().sort_values("event_id")
-        assert out["cnt_1h"].tolist() == [1, 2, 4, 4, 1]
-        assert out["sum_value_micros_1h"].tolist() == [n * 1_250_000 for n in (1, 2, 4, 4, 1)]
-
-
-class TestAsofAttribution:
-    """events_asof_attribution edge semantics: equal-ts view is
-    eligible (<=), equal-ts tie broken toward max view_id, clicks with
-    no prior view dropped (inner as-of)."""
-
-    def test_boundaries_and_ties(self, ray_session, tmp_path):
-        import pandas as pd
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from searchgov_spider_ray.pipelines.queries import events_asof_attribution
-
-        ts = pd.to_datetime(
-            [
-                "2024-01-01 00:00:00",  # e0 click: before any view -> dropped
-                "2024-01-01 00:10:00",  # e1 view
-                "2024-01-01 00:10:00",  # e2 view, same ts as e1 -> tie
-                "2024-01-01 00:10:00",  # e3 click at the views' exact ts -> matches e2
-                "2024-01-01 00:20:00",  # e4 click -> still e2
-                "2024-01-01 00:30:00",  # e5 scroll: ignored entirely
-            ]
-        ).astype("datetime64[us]")
-        df = pd.DataFrame(
-            {
-                "event_id": pd.Series(range(6), dtype="int64"),
-                "ts": ts,
-                "user_id": pd.Series([9] * 6, dtype="int64"),
-                "event_type": ["click", "view", "view", "click", "click", "scroll"],
-            }
-        )
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp_path / "events.parquet")
-
-        out = events_asof_attribution(str(tmp_path)).to_pandas().sort_values("click_id")
-        assert out["click_id"].tolist() == [3, 4]
-        assert out["view_id"].tolist() == [2, 2]
-        assert out["gap_us"].tolist() == [0, 600_000_000]
-
-
 class TestStratifiedSample:
     """sample_stratified is a pure function of (key, stratum): identical
     survivors under any partitioning, exact per-row predicate."""
@@ -412,107 +336,3 @@ class TestCanonicalizeTotal:
         assert reason == "offsite"
 
 
-class TestEventsJsonStats:
-    """The r4 verdict's adversarial-props contract: the kernel's real
-    JSON parse must agree with DuckDB's json_extract_string + CAST on
-    nested / string / float / exponent / duplicate-key shapes (TRY_CAST
-    stands in for CAST so non-castable values compare as NULL instead
-    of raising — the documented KNOWN LATENT #4 error-semantics gap)."""
-
-    SHAPES = [
-        '{"k": 5}',
-        '{"k": -7}',
-        '{"k": 0}',
-        '{"a": {"k": 99}}',            # nested only -> NULL
-        '{"k": 11, "a": {"k": 99}}',   # top-level wins over nested
-        '{"k": "12"}',                 # numeric string -> 12
-        '{"k": "  13  "}',             # padded numeric string -> 13
-        '{"k": "xyz"}',                # non-numeric string -> NULL
-        '{"k": "1.5"}',                # decimal string -> rounds
-        '{"k": 1.5}',                  # float: half away from zero -> 2
-        '{"k": -2.5}',                 # -> -3
-        '{"k": 2.0}',                  # integral float -> 2
-        '{"k": 1e5}',                  # exponent form -> 100000
-        '{"k": 1E+3}',                 # -> 1000
-        '{"s": "\\"k\\": 3"}',         # k inside a string value -> NULL
-        '{"k": null}',
-        '{"k": true}',                 # bool -> NULL
-        '{"kk": 4}',                   # different key -> NULL
-        '{"k": [1,2]}',                # array -> NULL
-        '{"k": {"x": 1}}',             # object -> NULL
-        '{"k":1,"k":2}',               # duplicate key: FIRST wins -> 1
-        # int64-max passthrough is pinned by the per-value test below;
-        # here a sum-safe big int keeps the oracle's SUM inside BIGINT
-        '{"k": 922337203685477580}',
-        '{"k": 12345678901234567890}', # > int64 -> NULL
-        '{"k": 9.3e18}',               # float overflow -> NULL
-        "{}",
-    ]
-    PER_VALUE_ONLY = ['{"k": 9223372036854775807}']  # int64 max
-
-    def test_adversarial_props_agree_with_duckdb(self, ray_session, tmp_path):
-        import duckdb
-        import pandas as pd
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from searchgov_spider_ray.pipelines.queries import events_json_stats
-
-        df = pd.DataFrame(
-            {
-                "event_type": [f"t{i % 3}" for i in range(len(self.SHAPES))],
-                "props": self.SHAPES,
-            }
-        )
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp_path / "events.parquet")
-
-        got = (
-            events_json_stats(str(tmp_path))
-            .sort_values("event_type")
-            .reset_index(drop=True)
-        )
-        con = duckdb.connect()
-        con.register("events", df)
-        want = con.execute(
-            """
-            WITH x AS (
-                SELECT event_type,
-                       TRY_CAST(json_extract_string(props, '$.k') AS BIGINT) AS k
-                FROM events
-            )
-            SELECT event_type,
-                   CAST(COUNT(*) AS BIGINT) AS n,
-                   CAST(SUM(k) AS BIGINT) AS sum_k,
-                   CAST(MIN(k) AS BIGINT) AS min_k,
-                   CAST(MAX(k) AS BIGINT) AS max_k
-            FROM x WHERE k IS NOT NULL
-            GROUP BY 1 ORDER BY 1
-            """
-        ).df().reset_index(drop=True)
-        assert got["event_type"].tolist() == want["event_type"].tolist()
-        for c in ["n", "sum_k", "min_k", "max_k"]:
-            assert got[c].astype("int64").tolist() == want[c].astype("int64").tolist(), c
-
-    def test_per_value_extraction_matches_duckdb(self):
-        """Row-level pin of _json_k_bigint against TRY_CAST, shape by
-        shape — failures name the exact diverging props string."""
-        import duckdb
-
-        from searchgov_spider_ray.pipelines.queries import _json_k_bigint
-
-        con = duckdb.connect()
-        for s in self.SHAPES + self.PER_VALUE_ONLY:
-            want = con.execute(
-                "SELECT TRY_CAST(json_extract_string(?, '$.k') AS BIGINT)", [s]
-            ).fetchone()[0]
-            got = _json_k_bigint(s)
-            assert got == (None if want is None else int(want)), s
-
-    def test_malformed_json_drops(self):
-        from searchgov_spider_ray.pipelines.queries import _json_k_bigint
-
-        # json_extract RAISES on malformed input; the kernel drops the
-        # row instead (KNOWN LATENT #4) — pin the drop, not the raise
-        assert _json_k_bigint("not json") is None
-        assert _json_k_bigint("") is None
-        assert _json_k_bigint(None) is None

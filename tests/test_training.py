@@ -334,77 +334,6 @@ class TestPackWindows:
         assert (per_win.iloc[:-1] == 32).all()
 
 
-class TestHLL:
-    def test_estimate_within_error_bound(self, ray_session):
-        from searchgov_spider_ray.functions.sketch import HLL_M, hll_estimate, hll_partial
-
-        for n_true in (50, 1000, 20000):
-            keys = np.arange(n_true, dtype=np.int64) * 7919 + 13
-            regs = np.zeros(HLL_M, dtype=np.int64)
-            b, r = hll_partial(keys)
-            np.maximum.at(regs, b, r)
-            est = hll_estimate(regs)
-            # p=12 → σ ≈ 1.63%; allow 5σ
-            assert abs(est - n_true) / n_true < 0.082, (n_true, est)
-
-    def test_merge_equals_single_pass_and_dup_insensitive(self, ray_session):
-        from searchgov_spider_ray.functions.sketch import hll_merge, hll_partial
-
-        keys = np.arange(5000, dtype=np.int64)
-        whole = hll_merge([hll_partial(keys)])
-        parts = hll_merge([hll_partial(keys[:2000]), hll_partial(keys[2000:]),
-                           hll_partial(keys[::3])])  # re-inserting dups changes nothing
-        assert (whole == parts).all()
-
-    def test_distributed_matches_local(self, ray_session):
-        import ray.data as rd
-
-        from searchgov_spider_ray.functions.sketch import HLL_M, hll_estimate, hll_partial
-        from searchgov_spider_ray.pipelines import training
-
-        df = pd.DataFrame({"user_id": np.arange(3000, dtype=np.int64) % 997})
-        ds = rd.from_pandas(df).repartition(7)
-        got = training.hll_registers(ds, "user_id").to_pandas().sort_values("bucket")
-        regs = np.zeros(HLL_M, dtype=np.int64)
-        b, r = hll_partial(df["user_id"].to_numpy())
-        np.maximum.at(regs, b, r)
-        nz = np.flatnonzero(regs)
-        assert got["bucket"].tolist() == nz.tolist()
-        assert got["rho"].tolist() == regs[nz].tolist()
-        est = training.approx_distinct(ds, "user_id")
-        assert abs(est - 997) / 997 < 0.082
-
-
-class TestRangeJoin:
-    def test_matches_bruteforce_with_overlaps(self, ray_session):
-        import ray.data as rd
-
-        from searchgov_spider_ray.pipelines.relational import range_join_intervals
-
-        rng = np.random.RandomState(5)
-        ts = np.sort(rng.randint(0, 10_000, size=400)).astype(np.int64)
-        pts = pd.DataFrame({"event_id": np.arange(400, dtype=np.int64), "ts_us": ts})
-        # overlapping, variable-length intervals incl. zero-length
-        starts = np.sort(rng.randint(0, 10_000, size=60)).astype(np.int64)
-        lens = rng.randint(0, 900, size=60).astype(np.int64)
-        iv = pd.DataFrame({"win_start": starts, "win_end": starts + lens})
-        got = (
-            range_join_intervals(rd.from_pandas(pts).repartition(5), iv, ts_col="ts_us")
-            .to_pandas()[["event_id", "win_start", "win_end"]]
-            .sort_values(["event_id", "win_start", "win_end"])
-            .reset_index(drop=True)
-        )
-        rows = []
-        for e, t in zip(pts["event_id"], pts["ts_us"]):
-            for s, en in zip(iv["win_start"], iv["win_end"]):
-                if s <= t < en:
-                    rows.append((e, s, en))
-        exp = pd.DataFrame(rows, columns=["event_id", "win_start", "win_end"]).sort_values(
-            ["event_id", "win_start", "win_end"]
-        ).reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
-
-
 class TestTopTermsDFDispatch:
     """broadcast-DF vs term-co-partition DF attachment must agree —
     the stopword-skew hardening path (training.top_distinctive_terms)."""
@@ -560,39 +489,6 @@ class TestKnnSelfJoin:
                 rd.from_pandas(one), k=3, **kw
             ).to_pandas()
             assert len(out) == 0
-
-
-class TestCMS:
-    def test_one_sided_and_exact_when_sparse(self):
-        from searchgov_spider_ray.functions.sketch import cms_estimate, cms_partial
-
-        rng = np.random.RandomState(3)
-        keys = rng.randint(0, 300, size=5000).astype(np.int64)
-        regs = cms_partial(keys)
-        probe = np.arange(300, dtype=np.int64)
-        est = cms_estimate(regs, probe)
-        exact = np.bincount(keys, minlength=300).astype(np.int64)
-        assert (est >= exact).all()  # one-sided overcount guarantee
-        # 300 keys in 4x1024 registers: collisions in ALL 4 rows are rare
-        assert (est == exact).mean() > 0.95
-
-    def test_partials_merge_associatively(self):
-        from searchgov_spider_ray.functions.sketch import cms_partial
-
-        rng = np.random.RandomState(4)
-        keys = rng.randint(0, 10**9, size=1000).astype(np.int64)
-        whole = cms_partial(keys)
-        split = cms_partial(keys[:300]) + cms_partial(keys[300:700]) + cms_partial(keys[700:])
-        assert (whole == split).all()
-
-    def test_weighted_counts(self):
-        from searchgov_spider_ray.functions.sketch import cms_estimate, cms_partial
-
-        keys = np.array([7, 7, 9], dtype=np.int64)
-        w = np.array([5, 2, 11], dtype=np.int64)
-        regs = cms_partial(keys, weights=w)
-        assert cms_estimate(regs, np.array([7], dtype=np.int64))[0] >= 7
-        assert regs.sum() == (5 + 2 + 11) * 4
 
 
 class TestCovariancePCA:
