@@ -112,7 +112,6 @@ def make_bench_job():
         num_shards=NUM_CPUS,  # URL-seen shard actors scale with the cluster
         shard_capacity=1 << 19,
         fetch_batch_size=2048,
-        link_batch_size=4096,
         decode_batch_size=256,
         wide_round_rows=2_000_000,
     )

@@ -1,6 +1,10 @@
 """Driver-style parity smoke: pipeline vs simulator on a small corpus.
 
-Usage: python scripts/parity_smoke.py [job_name] [round_seconds]
+Usage: python scripts/parity_smoke.py [job_name] [round_seconds] [micro|dataset]
+
+``micro`` (the default) runs every round of this small corpus on the
+table executor; ``dataset`` sets ``micro_round_rows=0``, so every round
+runs on the Dataset executor.
 """
 import sys, time, shutil
 sys.path.insert(0, __file__.rsplit("/", 2)[0])
@@ -23,6 +27,10 @@ from searchgov_spider_ray.functions.hashing import xxhash64
 
 job = sys.argv[1] if len(sys.argv) > 1 else "plain"
 rsec = float(sys.argv[2]) if len(sys.argv) > 2 else 10.0
+executor = sys.argv[3] if len(sys.argv) > 3 else "micro"
+if executor not in ("micro", "dataset"):
+    sys.exit(f"executor must be micro or dataset, not {executor!r}")
+micro_kw = {"micro_round_rows": 0} if executor == "dataset" else {}
 cdir = "/tmp/smoke_corpus"
 import os
 if not os.path.exists(cdir + "/seeds.json"):
@@ -31,10 +39,10 @@ sites = {s.name: s for s in CrawlSites.from_file(cdir + "/seeds.json").sites}
 site = sites[job]
 t0 = time.time()
 shutil.rmtree("/tmp/smoke_out", ignore_errors=True)
-runner = CrawlJobRunner(site, cdir, "/tmp/smoke_out", CrawlConfig(round_seconds=rsec, num_shards=4))
+runner = CrawlJobRunner(site, cdir, "/tmp/smoke_out", CrawlConfig(round_seconds=rsec, num_shards=4, **micro_kw))
 res = runner.run()
 wall = time.time() - t0
-print(f"pipeline: rounds={res.rounds} fetched={res.fetched} seen={res.seen} wall={wall:.1f}s")
+print(f"pipeline ({executor}): rounds={res.rounds} fetched={res.fetched} seen={res.seen} wall={wall:.1f}s")
 
 corpus = load_corpus_dict(pq.read_table(cdir + "/corpus_pages.parquet"))
 robots = RobotsRules.from_table(pq.read_table(cdir + "/robots.parquet"))

@@ -1,38 +1,46 @@
-"""The Ray-Data-native crawl frontier: BSP rounds over Dataset stages.
+"""The crawl frontier: BSP rounds of one stage sequence, run by one of
+two executors.
 
-This is the engine's flagship pipeline — the from-scratch replacement
-for the reference's Scrapy event loop (SURVEY.md §3.1). Each round:
+Each round:
 
-    frontier_k ──groupby(domain)──▶ politeness grant/carry        (shuffle: domain)
-      granted ──map_batches(CorpusFetcher actors)──▶ fetched      (hash join vs corpus)
-      fetched ──▶ order lineage ∥ emit rows ∥ link extraction
-      emit(w/ image) ──ImageAttach──▶ DecodePHash──▶ corpus sink  (actor pools)
-      links ──canonicalize+scope+robots──▶ denied ∥ candidates
-      candidates ──FusedDedupRouter(shard actors)──▶ intra-round
-                   first-wins + URL-seen novelty in ONE RPC pass
-                   (local min-adm_key winners offered to hash-routed
-                   shards; multi-offer corrections broadcast back)
-                 ──sort(adm_key)──▶ seq assign                    (wide rounds only)
-      frontier_{k+1} = carry ∪ novel  ──▶ checkpoint (frontier, shards, manifest)
+    frontier_k ──politeness grant──▶ granted ∥ carry          (per-domain threshold)
+      granted ──fetch metadata──▶ fetched ──▶ order sink
+      fetched ──emit──▶ emitted sink; image rows ──attach+decode──▶ corpus sink
+      granted ──body gather+links+canonicalize/scope/robots──▶ scoped
+      scoped ──▶ denied sink (scope, robots, duplicates)
+             ──FusedDedupRouter (URL-seen shard actors)──▶ novel
+      novel ──seq assignment──▶ frontier_{k+1} = carry ∪ novel ──▶ checkpoint
+
+:meth:`CrawlJobRunner._run_round` states this sequence once and calls
+its stages through an executor:
+
+* :class:`_TableRound`, for frontiers of at most ``micro_round_rows``
+  rows: a value is one driver-side Arrow table and a cheap kernel one
+  direct call on it; the two payload stages (link chain, image landing)
+  run as raw Ray tasks over table chunks. No streaming-executor launch.
+* :class:`_DatasetRound`, for any size: Ray Data. Cheap kernels chain
+  into one ``map_batches`` stage, per-block passes run as raw tasks on
+  materialized block refs, payload stages run after a ``repartition``.
+  Two scale branches live here: above ``politeness_driver_rows`` the
+  grant thresholds come from a pruned ``groupby(partition)`` exchange,
+  and above ``wide_round_rows`` novel rows the seq assignment is a
+  distributed ``sort(adm_key)``.
 
 Ordering equivalence with the single-threaded simulator
 (pipelines/simulator.py — the pinned semantics) comes from explicit
 (depth, seq) keys, NOT serialized execution: fetch order is
 (round, depth, seq); children get seq from per-depth counters laid out
-in (parent_depth, parent_seq, link_seq) order via per-parent offsets
-(a small driver-side cumsum over one row per fetched page — the
-distributed-prefix-sum upgrade path is block-level sums, SURVEY.md §3.1).
+in (parent_depth, parent_seq, link_seq) order.
 
-Scale notes (the 100 TB story):
-* Per-round frontier state lives in parquet/object store, streamed
-  through map_batches; nothing materializes the corpus.
-* The corpus table is ``ray.put`` ONCE; fetch/attach actors read it
-  zero-copy from the object store and join on precomputed uint64 url
-  hashes (searchsorted over an Arrow-backed numpy view — no python
-  strings in the hot path).
-* Mutating stages (FusedDedupRouter) are materialized exactly once
-  per round; shard actors memoize (round, batch-digest) → mask so Ray
-  task retries replay instead of double-admitting.
+Scale notes:
+* Per-round frontier state lives in parquet; nothing materializes the
+  corpus.
+* The corpus metadata table is ``ray.put`` ONCE; fetch/attach kernels
+  read it zero-copy from the object store and join on precomputed
+  uint64 url hashes. Payload bytes stream from the parquet files.
+* The mutating stage (FusedDedupRouter) runs exactly once per round;
+  shard actors memoize (round, batch-digest) → mask so Ray task
+  retries replay instead of double-admitting.
 * Hot-domain skew: politeness bounds per-domain FETCH by design; the
   CPU-heavy stages after fetch (decode, link parse, dedup) are keyed
   by url_hash / parent, which salt across the cluster regardless of
@@ -68,7 +76,7 @@ from ..stages.dedup import (
 from ..stages.decode import DecodePHash
 from ..stages.fetch import CorpusFetcher, ImageAttach, JsFetcher
 from ..stages.links import extract_links_batch
-from ..stages.politeness import PolitenessSelect, RobotsRules, robots_reason
+from ..stages.politeness import RobotsRules, robots_reason
 from ..stages.scope import (
     DENY_DEPTH,
     DENY_DUPLICATE,
@@ -77,6 +85,7 @@ from ..stages.scope import (
     JobScope,
     content_type_mask,
 )
+from ..stages.steps import apply_steps_table
 from ..state.checkpoint import CheckpointStore
 
 FRONTIER_COLUMNS = ["depth", "seq", "url", "domain", "url_hash"]
@@ -97,59 +106,33 @@ class CrawlConfig:
     round_seconds: float = 30.0
     num_shards: int = 4
     shard_capacity: int = 1 << 16
-    # (No fan-out knob: the payload stages — body gather + links, image
-    # attach/decode — size their pieces by one rule in both executors,
-    # one piece per stage-specific row quota, capped at two pieces per
-    # cluster CPU; see _fan_out.)
+    # Dataset-executor batch sizes of the link chain (pages per call)
+    # and of image landing (images per call; rows carry image bytes).
     fetch_batch_size: int = 512
     decode_batch_size: int = 64
-    link_batch_size: int = 512
-    # URL-seen router batches: each batch costs one RPC per touched
-    # shard actor, so large batches amortize actor round-trips (rows
-    # are ~100 B narrow metadata — 64 k rows ≈ 6 MB per batch)
+    # URL-seen router batches on the Dataset executor: each batch costs
+    # one RPC per touched shard actor, so large batches amortize actor
+    # round-trips (rows are ~100 B narrow metadata).
     dedup_batch_size: int = 65536
     max_rounds: int = 2000
-    # Candidate-row count above which the round's seq assignment uses
-    # the distributed sort-based path (_assign_seq_wide) instead of the
-    # single-block kernel. The narrow kernel wins below this (one task,
-    # no sort exchange); the wide path keeps per-task memory bounded on
-    # 10^8+-candidate rounds. (Intra+cross dedup no longer dispatches —
-    # the fused shard-offer pass is exchange-free at every size.)
+    # Novel-row count above which the Dataset executor assigns seq by a
+    # distributed sort(adm_key) and block-level prefix sums
+    # (_assign_seq_wide) instead of one driver-side lexsort: it bounds
+    # driver and per-task memory on 10^8+-candidate rounds.
     wide_round_rows: int = 4_000_000
-    # Coarse politeness partitions (domains hash-bucketed; one
-    # vectorized grant kernel per partition — see
-    # stages/politeness.py PolitenessSelectPartition)
+    # Coarse politeness partitions of the pruned grant exchange.
     politeness_parts: int = 64
-    # Frontier-row count up to which the politeness grant runs
-    # exchange-free (per-block top-B candidates merged on the driver,
-    # broadcast thresholds — stages/politeness.py block_grant_candidates)
-    # instead of the groupby(part) exchange. Driver memory for the merge
-    # is bounded by this row count.
+    # Frontier-row count up to which the grant thresholds are merged on
+    # the driver from per-block top-B candidates; above it the Dataset
+    # executor merges them in a pruned groupby(part) exchange, so driver
+    # memory stays bounded.
     politeness_driver_rows: int = 4_000_000
-    # Frontier-row count up to which the WHOLE round runs on the
-    # micro-round fast path: cheap kernels called directly on driver-
-    # side Arrow tables, payload-bound stages (body gather + link
-    # extraction, image attach/decode) as raw Ray tasks over table
-    # chunks, sinks via direct pq.write_table — ZERO streaming-executor
-    # launches. A normal tiny round pays ~9 executor spin-ups
-    # (~0.2 s each at 32 CPUs, growing with cluster size) plus their
-    # scheduling barriers for milliseconds of real work; the BFS ramp
-    # (rounds 0-1) and tail rounds are exactly such rounds
-    # (BASELINE.md: ~13 s of the 68 s 32-CPU wall). 0 disables.
-    # Row semantics are identical by construction — the same kernel
-    # objects run in both paths; parity is pinned by the e2e simulator
-    # tests in BOTH modes (tests/test_frontier_e2e.py).
-    #
-    # Sizing: the payload-bound stages stay parallel (raw tasks over
-    # _fan_out chunks, ≤ 2 per cluster CPU), so the bound is DRIVER work —
-    # the vectorized cheap kernels plus the fan-out concat/dedup/seq
-    # (≤ ~10× rows_in novel candidates, narrow ~100 B rows). 128 k
-    # rows_in ≈ a ~1 M-row driver fan-out pass ≈ low single-digit
-    # seconds, well under the ~12 executor launches it replaces
-    # (measured r4: a 104 k-row round cost 10.4 s on the Dataset path,
-    # ~3 s micro). On a multi-node cluster this stays a LATENCY floor
-    # optimization: the threshold is absolute rows, not a corpus
-    # fraction, so driver heap is bounded regardless of cluster size.
+    # Frontier-row count up to which a round runs on the table executor
+    # (_TableRound): no streaming-executor launch, whose spin-up and
+    # scheduling barriers cost more than a small round's work. The
+    # bound is driver memory and driver CPU for the cheap kernels over
+    # ≤ ~10× this many narrow candidate rows. 0 runs every round on the
+    # Dataset executor.
     micro_round_rows: int = 131_072
 
 
@@ -279,56 +262,29 @@ def _pack_admission(batch: pa.Table) -> pa.Table:
     return batch.append_column("adm_key", pa.array(key, type=pa.uint64()))
 
 
-def _assign_seq_wide(
-    novel: rd.Dataset, depth_counters: dict[int, int], has_adm_key: bool = False
-) -> rd.Dataset:
+def _assign_seq_wide(novel: rd.Dataset, depth_counters: dict[int, int]) -> rd.Dataset:
     """Distributed admission-order seq assignment for wide rounds:
     global ``sort(adm_key)``, per-block per-depth counts, driver-side
     cumulative bases (O(#blocks × #depths) rows), then per-block rank
     assignment against the broadcast base table — the block-level
-    prefix-sum upgrade of _assign_seq_kernel."""
-    # the fused dedup path already carries adm_key; pack only if absent
-    if has_adm_key:
-        keyed = novel
-    else:
-        keyed = novel.map_batches(_pack_admission, batch_format="pyarrow")
-    s = keyed.sort("adm_key").materialize()
+    prefix-sum form of _assign_seq_kernel."""
+    s = _drop_empty_blocks(novel.sort("adm_key").materialize())
 
-    def summary(t: pa.Table) -> pa.Table:
+    def summary(t: pa.Table) -> list[tuple[int, int, int]]:
         if len(t) == 0:
-            return pa.table(
-                {
-                    "block_key": pa.array([], type=pa.uint64()),
-                    "depth": pa.array([], type=pa.int32()),
-                    "cnt": pa.array([], type=pa.int64()),
-                }
-            )
-        a = t["adm_key"].to_numpy()
-        d = t["depth"].to_numpy()
-        vals, counts = np.unique(d, return_counts=True)
-        return pa.table(
-            {
-                "block_key": pa.array(np.full(len(vals), int(a.min()), dtype=np.uint64)),
-                "depth": pa.array(vals.astype(np.int32)),
-                "cnt": pa.array(counts.astype(np.int64)),
-            }
-        )
+            return []
+        vals, counts = np.unique(t["depth"].to_numpy(), return_counts=True)
+        bk = int(t["adm_key"].to_numpy().min())
+        return [(bk, int(d), int(c)) for d, c in zip(vals, counts)]
 
-    summ_tables = _map_block_refs(s, summary)
-    summ = (
-        pa.concat_tables(summ_tables).to_pandas()
-        if summ_tables
-        else pd.DataFrame({"block_key": [], "depth": [], "cnt": []})
-    )
-    if summ.empty:  # no novel rows this round (all dups)
+    rows = sorted(r for part in _map_block_refs(s, summary) for r in part)
+    if not rows:  # no novel rows this round (all dups)
         return rd.from_arrow(_empty_frontier())
     bases: dict[tuple[int, int], int] = {}
     run = dict(depth_counters)
-    for bk in sorted(summ["block_key"].unique()):
-        for _, r in summ[summ["block_key"] == bk].iterrows():
-            dd = int(r["depth"])
-            bases[(int(bk), dd)] = run.get(dd, 0)
-            run[dd] = run.get(dd, 0) + int(r["cnt"])
+    for bk, dd, cnt in rows:  # blocks in sort order, depths within each
+        bases[(bk, dd)] = run.get(dd, 0)
+        run[dd] = run.get(dd, 0) + cnt
     bases_ref = ray.put(bases)
 
     class _Assign:
@@ -336,10 +292,6 @@ def _assign_seq_wide(
             self._b = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return pa.table(
-                    {c: pa.array([], type=_FRONTIER_SCHEMA.field(c).type) for c in FRONTIER_COLUMNS}
-                )
             if self._b is None:
                 self._b = ray.get(bases_ref)
             a = t["adm_key"].to_numpy()
@@ -363,7 +315,7 @@ def _assign_seq_kernel(batch: pa.Table, depth_counters: dict[int, int]) -> pa.Ta
     the per-depth counter base. Reproduces FIFO enqueue order without
     serialized execution (SURVEY.md §7.5.1)."""
     if len(batch) == 0:
-        return pa.table({c: pa.array([], type=_FRONTIER_SCHEMA.field(c).type) for c in FRONTIER_COLUMNS})
+        return _empty_frontier()
     d = batch["parent_depth"].to_numpy().astype(np.int64)
     s = batch["parent_seq"].to_numpy().astype(np.int64)
     l = batch["link_seq"].to_numpy().astype(np.int64)
@@ -383,24 +335,34 @@ def _assign_seq_kernel(batch: pa.Table, depth_counters: dict[int, int]) -> pa.Ta
 class _EmitKernel:
     """Fetched pages → emitted item rows (reference parse_item,
     spiders/domain_spider.py:136-155 + DeDeuplicator is subsumed by
-    frontier dedup — each URL is fetched at most once).
+    frontier dedup — each URL is fetched at most once), stamped with
+    the round, then the job's emit steps.
 
-    Emits NARROW rows (depth, seq, url_hash, image_id): the url string,
-    doc_id (sha256 of the url) and content columns are all derivable
-    from the corpus metadata table, so they are reconstructed at READ
-    time (:func:`read_emitted`) instead of being computed and shipped
-    per row through the sink every round — the byte-bound lineage-sink
-    share called out in BASELINE.md's phase decomposition."""
+    Emits NARROW rows (depth, seq, url_hash, image_id, round): the url
+    string, doc_id (sha256 of the url) and content columns are all
+    derivable from the corpus metadata table, so they are reconstructed
+    at READ time (:func:`read_emitted`) instead of being computed and
+    shipped per row through the sink every round.
 
-    def __init__(self, output_target: str):
+    Emit steps (the ITEM_PIPELINES analog, reference settings.py:105-108)
+    are priority-ordered Table→Table functions over item rows only — the
+    crawl frontier, ordering and dedup state are upstream and unaffected.
+    Class steps are built once per ``instances`` dict: once per job on
+    the driver, once per task on the Dataset executor."""
+
+    def __init__(self, output_target: str, k: int, steps: list, instances: dict):
         self.output_target = output_target
+        self.k = k
+        self.steps = steps
+        self.instances = instances
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ok = pc.equal(batch["status"], pa.scalar(200, type=pa.int16())).to_numpy(zero_copy_only=False)
         ct = pd.Series(batch["content_type"].to_pylist(), dtype="object")
         allowed = content_type_mask(ct, self.output_target)
         batch = batch.filter(pa.array(ok & allowed))
-        return batch.select(["depth", "seq", "url_hash", "image_id"])
+        out = _add_round(batch.select(["depth", "seq", "url_hash", "image_id"]), self.k)
+        return apply_steps_table(out, self.steps, self.instances) if self.steps else out
 
 
 def _strip_image_id(t: pa.Table) -> pa.Table:
@@ -417,8 +379,9 @@ def _write_round(ds: rd.Dataset, base: Path, round_id: int) -> None:
 
 
 def _write_table_round(t: pa.Table, base: Path, round_id: int) -> None:
-    """Micro-round sink: one driver-side parquet write, same directory
-    layout as :func:`_write_round` (readers glob ``*.parquet``)."""
+    """Table-executor sink: one driver-side parquet write, same
+    directory layout as :func:`_write_round` (readers glob
+    ``*.parquet``)."""
     out = base / f"round-{round_id:04d}"
     out.mkdir(parents=True, exist_ok=True)
     pq.write_table(t, out / "part-000000.parquet")
@@ -443,7 +406,6 @@ def _order_rows_kernel(t: pa.Table, k: int) -> pa.Table:
 
 def _table_chunks(t: pa.Table, n: int) -> list[pa.Table]:
     """Split a table into ≤ n contiguous zero-copy slices."""
-    n = max(1, min(n, len(t)))
     bounds = np.linspace(0, len(t), n + 1).astype(np.int64)
     return [t.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
@@ -457,10 +419,10 @@ def _task_slots() -> int:
 def _fan_out(rows: int, rows_per_task: int, floor: int, slots: int) -> int:
     """Piece count of a payload stage, the one rule both executors use:
     one piece per ``rows_per_task`` rows (at least ``floor``), capped at
-    two pieces per task slot. A piece pays a fixed cost (task launch,
-    payload row-group reads), so pieces beyond what the cluster can run
-    at once only add that cost."""
-    return max(1, min(2 * slots, max(floor, rows // rows_per_task)))
+    two pieces per task slot and at one piece per row. A piece pays a
+    fixed cost (task launch, payload row-group reads), so pieces beyond
+    what the cluster can run at once only add that cost."""
+    return max(1, min(2 * slots, rows, max(floor, rows // rows_per_task)))
 
 
 def _image_rows(t: pa.Table) -> pa.Table:
@@ -469,16 +431,16 @@ def _image_rows(t: pa.Table) -> pa.Table:
 
 
 def _image_count(t: pa.Table) -> int:
-    # Ray can emit column-less empty blocks
-    return len(_image_rows(t)) if len(t) else 0
+    # an emit step may drop the image_id column: no image landing then
+    return len(_image_rows(t)) if "image_id" in t.column_names else 0
 
 
-class _MicroLinkKernel:
-    """Micro-round link chain as one picklable task kernel: body join →
-    200 filter → link extraction → canonicalize + scope/robots — the
-    same fused chain the Dataset path runs, minus the executor. Shipped
-    once via ray.put (the scope/robots tables can be MBs at web
-    scale) and deserialized once per worker (:func:`_warm_kernel`)."""
+class _LinkKernel:
+    """The link chain as one payload kernel: body join → 200 filter →
+    link extraction → canonicalize + scope/robots. Bodies exist only
+    transiently inside the call; what leaves it is the narrow scoped
+    candidate table. (Only 200-status pages parse — non-200 responses
+    yield neither items nor links, reference CrawlSpider semantics.)"""
 
     def __init__(self, corpus_ref, fetcher_cls, scope: JobScope, robots: RobotsRules):
         self.fetcher = fetcher_cls(corpus_ref)
@@ -490,9 +452,9 @@ class _MicroLinkKernel:
         return self.canon(extract_links_batch(t))
 
 
-class _MicroImageKernel:
-    """Micro-round image landing as one task kernel: payload attach →
-    decode + pHash (same actor-class kernels, called inline)."""
+class _ImageKernel:
+    """Image landing as one payload kernel: payload attach → decode +
+    pHash."""
 
     def __init__(self, images_ref):
         self.attach = ImageAttach(images_ref)
@@ -504,14 +466,6 @@ class _MicroImageKernel:
 
 def _add_round(t: pa.Table, k: int) -> pa.Table:
     return t.append_column("round", pa.array(np.full(len(t), k, dtype=np.int32)))
-
-
-class _RoundStamp:
-    def __init__(self, k: int):
-        self.k = k
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return _add_round(t, self.k)
 
 
 def _distinct_by_hash(t: pa.Table, extra: str | None = None) -> pa.Table:
@@ -538,40 +492,66 @@ def _distinct_by_hash(t: pa.Table, extra: str | None = None) -> pa.Table:
     return t.take(pa.array(np.sort(first), type=pa.int64()))
 
 
+def _granted_rows(t: pa.Table) -> pa.Table:
+    return t.filter(t["granted"]).drop_columns(["granted"])
+
+
+def _carried_rows(t: pa.Table) -> pa.Table:
+    carry = t.filter(pc.invert(t["granted"]))
+    return carry.select(FRONTIER_COLUMNS).cast(_FRONTIER_SCHEMA)
+
+
 class _DeniedKernel:
-    def __init__(self, k: int, keep_side: bool):
-        self.k = k
-        self.keep_side = keep_side
+    """Scope and robots denials of scoped link rows, distinct per block."""
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        mask = pc.equal(t["reason"], KEEP)
-        if not self.keep_side:
-            sub = t.filter(pc.invert(mask)).select(["url", "url_hash", "reason"])
-            sub = _distinct_by_hash(sub, extra="reason").drop_columns(["url_hash"])
-            return _add_round(sub, self.k)
-        return t.filter(mask).drop_columns(["reason"])
-
-
-class _DupDeniedKernel:
     def __init__(self, k: int):
         self.k = k
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        sub = t.filter(pc.invert(t["novel"])).select(["url", "url_hash"])
-        sub = _distinct_by_hash(sub).drop_columns(["url_hash"])
-        sub = sub.append_column("reason", pa.array([DENY_DUPLICATE] * len(sub), type=pa.string()))
+        sub = t.filter(pc.not_equal(t["reason"], KEEP)).select(["url", "url_hash", "reason"])
+        sub = _distinct_by_hash(sub, extra="reason").drop_columns(["url_hash"])
         return _add_round(sub, self.k)
 
 
-class _IntraDupKernel:
+def _candidates(t: pa.Table) -> pa.Table:
+    """Scoped link rows that passed scope and robots, keyed for the
+    URL-seen offer."""
+    return _pack_admission(t.filter(pc.equal(t["reason"], KEEP)).drop_columns(["reason"]))
+
+
+class _DupDenied:
+    """Duplicate denials of offered candidates: the round's intra-round
+    losers (``intra_first`` false), then winners an earlier round
+    already admitted (``novel`` false), each distinct per block."""
+
     def __init__(self, k: int):
         self.k = k
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        sub = t.filter(pc.invert(t["intra_first"])).select(["url", "url_hash"])
-        sub = _distinct_by_hash(sub).drop_columns(["url_hash"])
+        first = t["intra_first"]
+        masks = [pc.invert(first), pc.and_(first, pc.invert(t["novel"]))]
+        sub = pa.concat_tables(
+            [_distinct_by_hash(t.filter(m).select(["url", "url_hash"])) for m in masks]
+        ).drop_columns(["url_hash"])
         sub = sub.append_column("reason", pa.array([DENY_DUPLICATE] * len(sub), type=pa.string()))
         return _add_round(sub, self.k)
+
+
+def _novel_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.and_(t["intra_first"], t["novel"])).drop_columns(["novel", "intra_first"])
+
+
+def _depth_counts(t: pa.Table) -> dict[int, int]:
+    vals, cnts = np.unique(t["depth"].to_numpy(), return_counts=True)
+    return {int(v): int(c) for v, c in zip(vals, cnts)}
+
+
+def _sum_counts(parts) -> dict:
+    total: dict = {}
+    for part in parts:
+        for key, n in part.items():
+            total[key] = total.get(key, 0) + n
+    return total
 
 
 def _empty_frontier() -> pa.Table:
@@ -583,10 +563,10 @@ def _block_apply(fn, block):
     return fn(block)
 
 
-# Deserialized micro-round kernels of this worker process, keyed by the
-# binary id of the ref each runner ray.puts once per job (so a new
-# runner never meets an older runner's kernel), most recently used last.
-# Two entries hold one runner's link and image kernels.
+# Deserialized table-executor payload kernels of this worker process,
+# keyed by the binary id of the ref each runner ray.puts once per job
+# (so a new runner never meets an older runner's kernel), most recently
+# used last. Two entries hold one runner's link and image kernels.
 _WARM_KERNELS: OrderedDict[bytes, object] = OrderedDict()
 _WARM_KERNELS_MAX = 2
 
@@ -607,7 +587,7 @@ def _warm_kernel(boxed_ref: list):
 
 @ray.remote
 def _warm_apply(boxed_ref: list, block):
-    """Micro-round payload task. The kernel ref arrives boxed, so Ray
+    """Table-executor payload task. The kernel ref arrives boxed, so Ray
     neither fetches nor unpickles it per task; :func:`_warm_kernel`
     does that once per worker."""
     return _warm_kernel(boxed_ref)(block)
@@ -618,7 +598,7 @@ def _map_block_refs(ds: rd.Dataset, fn):
     tasks on the block refs and return the results.
 
     This is the no-executor path for tiny per-block metadata passes
-    (per-depth counts, per-block summaries, boundary rows): a full
+    (per-domain counts, per-block summaries): a full
     ``map_batches(...).to_pandas()`` pays a streaming-executor
     spin-up that measures ~200 ms at 32 CPUs (and grows with cluster
     size) — ~10× the work itself. Blocks stay distributed; only
@@ -633,6 +613,16 @@ def _map_block_refs(ds: rd.Dataset, fn):
     return ray.get([_block_apply.remote(fn_ref, b) for b in refs])
 
 
+def _drop_empty_blocks(ds: rd.Dataset) -> rd.Dataset:
+    """A materialized ``ds`` without its empty blocks (as it is when
+    every block is empty). Ray Data never calls a map stage on an empty
+    block: it emits a column-less block instead, and an operator whose
+    column-less block follows one with columns logs a schema warning."""
+    sizes = [(r, m.num_rows) for b in ds.iter_internal_ref_bundles() for r, m in b.blocks]
+    refs = [r for r, n in sizes if n]
+    return rd.from_arrow_refs(refs) if refs and len(refs) < len(sizes) else ds
+
+
 def _parquet_rows(path: Path) -> int:
     """Row count of a written parquet directory from file metadata
     (driver-side, no read of data pages, no Ray execution)."""
@@ -640,6 +630,217 @@ def _parquet_rows(path: Path) -> int:
     for f in Path(path).glob("*.parquet"):
         total += pq.ParquetFile(f).metadata.num_rows
     return total
+
+
+class _Chain:
+    """Kernels applied in turn to one block: a Dataset-executor value
+    runs as one map_batches stage or one raw block task, so an empty
+    intermediate table keeps its columns."""
+
+    def __init__(self, fns: tuple):
+        self.fns = fns
+
+    def __call__(self, t: pa.Table):
+        for fn in self.fns:
+            t = fn(t)
+        return t
+
+
+class _TableRound:
+    """Round executor for small frontiers. A value is one driver-side
+    Arrow table and a cheap kernel one direct call on it. Payload stages
+    run as raw Ray tasks over ``_fan_out`` table chunks, on kernels
+    each worker keeps warm (:func:`_warm_apply`); they return task
+    futures that :meth:`materialize` gathers. No streaming-executor
+    launch, and no broadcast: driver-local state is passed as is."""
+
+    # every kernel sees the round's whole table in one call
+    whole_table = True
+    # stage → (rows per task, floor) of _fan_out. The link chain is ~ms
+    # per row, so a sub-hundred-row task is mostly launch cost, while a
+    # single mega-chunk serializes the payload row-group reads.
+    quota = {"links": (64, 1), "images": (128, 1)}
+
+    def __init__(self, runner: CrawlJobRunner, slots: int):
+        self.runner = runner
+        self.slots = slots
+
+    def read(self, k: int) -> pa.Table:
+        stash = self.runner._frontier_stash
+        if stash is not None and stash[0] == k:
+            return stash[1]  # byte-equivalent to the file
+        return pq.read_table(str(self.runner.ckpt.frontier_dir(k)))
+
+    def share(self, obj):
+        return obj
+
+    def blocks(self, t: pa.Table, fn) -> list:
+        return [fn(t)]
+
+    def map(self, t: pa.Table, fn) -> pa.Table:
+        return fn(t)
+
+    def payload(self, t: pa.Table, stage: str, rows: int) -> list:
+        refs = self.runner._kernel_refs
+        if stage not in refs:  # round-independent: put once per job
+            refs[stage] = ray.put(self.runner._kernels[stage])
+        chunks = _table_chunks(t, _fan_out(rows, *self.quota[stage], self.slots))
+        return [_warm_apply.remote([refs[stage]], c) for c in chunks]
+
+    def materialize(self, x, batch_size: int | None = None) -> pa.Table | None:
+        if not isinstance(x, list):
+            return x
+        parts = [p for p in ray.get(x) if len(p)]
+        return pa.concat_tables(parts).combine_chunks() if parts else None
+
+    def count(self, t: pa.Table | None) -> int:
+        return 0 if t is None else len(t)
+
+    def table(self, t: pa.Table) -> pa.Table:
+        return t.combine_chunks()
+
+    def concat(self, ts: list) -> pa.Table:
+        return pa.concat_tables(ts)
+
+    def write(self, x, base: Path, k: int) -> None:
+        t = self.materialize(x)
+        if t is not None:
+            _write_table_round(t, base, k)
+
+    def result(self, t: pa.Table) -> pa.Table:
+        return t
+
+    def exchange_thresholds(self, frontier, rows_in: int):
+        return None
+
+    def wide_seq(self, novel, depth_counters: dict[int, int]):
+        return None
+
+
+class _DatasetRound:
+    """Round executor on Ray Data, for frontiers of any size. A value is
+    a driver-side table or a ``(dataset, kernels)`` pair: the kernels not
+    yet applied to the dataset's blocks (always a materialized one), run
+    as one :class:`_Chain` when the value is materialized, written or
+    read block by block. A materialized dataset keeps no empty block
+    unless all are (:func:`_drop_empty_blocks`), a repartition makes
+    none (:func:`_fan_out`), and a chain over an all-empty dataset runs
+    on the driver, so no map stage meets an empty block."""
+
+    whole_table = False
+    # stage → (rows per task, floor) of _fan_out. Sparse rounds touch
+    # ~1 payload row group per row, so small pieces keep the per-task
+    # row-group reads parallel.
+    quota = {"links": (8, 2), "images": (16, 2)}
+
+    def __init__(self, runner: CrawlJobRunner, slots: int):
+        self.runner = runner
+        self.slots = slots
+        cfg = runner.cfg
+        self.batch_size = {"links": cfg.fetch_batch_size, "images": cfg.decode_batch_size}
+
+    def _dataset(self, x, batch_size: int | None = None) -> rd.Dataset:
+        if isinstance(x, pa.Table):
+            return rd.from_arrow(x)
+        ds, fns = x
+        if not fns:
+            return ds
+        if ds.count() == 0:
+            # every block is empty: run the chain on the driver, on an
+            # empty table with the dataset's columns
+            return rd.from_arrow(_Chain(fns)(ds.schema().base_schema.empty_table()))
+        return ds.map_batches(_Chain(fns), batch_format="pyarrow", batch_size=batch_size)
+
+    def read(self, k: int):
+        return self.materialize((rd.read_parquet(str(self.runner.ckpt.frontier_dir(k))), ()))
+
+    def share(self, obj):
+        return ray.put(obj)
+
+    def blocks(self, x, fn) -> list:
+        if isinstance(x, pa.Table):
+            return [fn(x)]
+        ds, fns = x
+        return _map_block_refs(ds, _Chain(fns + (fn,)))
+
+    def map(self, x, fn):
+        ds, fns = x
+        return ds, fns + (fn,)
+
+    def payload(self, x, stage: str, rows: int):
+        n = _fan_out(rows, *self.quota[stage], self.slots)
+        ds = self._dataset(x).repartition(n).map_batches(
+            self.runner._kernels[stage],
+            batch_format="pyarrow",
+            batch_size=self.batch_size[stage],
+        )
+        return ds, ()
+
+    def materialize(self, x, batch_size: int | None = None):
+        return _drop_empty_blocks(self._dataset(x, batch_size).materialize()), ()
+
+    def count(self, x) -> int:
+        return 0 if x is None else x[0].count()
+
+    def table(self, x) -> pa.Table:
+        ds, fns = x
+        parts = [t for t in _map_block_refs(ds, _Chain(fns)) if len(t)]
+        return pa.concat_tables(parts).combine_chunks() if parts else pa.table({})
+
+    def concat(self, xs: list):
+        first, *rest = [self._dataset(x) for x in xs]
+        return (first.union(*rest) if rest else first), ()
+
+    def write(self, x, base: Path, k: int) -> None:
+        _write_round(self._dataset(x), base, k)
+
+    def result(self, x) -> rd.Dataset:
+        return self._dataset(x)
+
+    def exchange_thresholds(self, frontier, rows_in: int):
+        """Grant thresholds of a frontier above ``politeness_driver_rows``
+        rows, merged in a PRUNED exchange instead of on the driver: only
+        per-batch per-domain top-B (domain, pack) rows shuffle, so a
+        10^9-row hot domain is skew-bounded at the source and the
+        frontier itself never moves. ``None`` at or below the bound."""
+        from ..stages.politeness import (
+            partition_grant_thresholds,
+            politeness_partition_key,
+            prune_grant_candidates,
+        )
+
+        cfg = self.runner.cfg
+        if rows_in <= cfg.politeness_driver_rows:
+            return None
+        robots = self.runner.robots
+
+        def add_part(t: pa.Table) -> pa.Table:
+            # dictionary-encode so only DISTINCT domains are hashed
+            enc = pc.dictionary_encode(t["domain"].combine_chunks())
+            part_of = politeness_partition_key(enc.dictionary.to_pylist(), cfg.politeness_parts)
+            idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+            return t.append_column("part", pa.array(part_of[idx], type=pa.int32()))
+
+        pruned = self.map(frontier, prune_grant_candidates(robots, cfg.round_seconds))
+        thr_tab = (
+            self._dataset(self.map(pruned, add_part))
+            .groupby("part")
+            .map_groups(
+                partition_grant_thresholds(robots, cfg.round_seconds), batch_format="pyarrow"
+            )
+            .to_pandas()
+        )
+        dom = thr_tab["domain"].to_numpy(dtype="U")
+        order = np.argsort(dom, kind="mergesort")
+        return dom[order], thr_tab["thr"].to_numpy(dtype=np.uint64)[order]
+
+    def wide_seq(self, novel, depth_counters: dict[int, int]):
+        """Seq assignment of a round with more than ``wide_round_rows``
+        novel rows, by a distributed sort (:func:`_assign_seq_wide`);
+        ``None`` for narrower rounds."""
+        if sum(self.blocks(novel, len)) <= self.runner.cfg.wide_round_rows:
+            return None
+        return self.materialize((_assign_seq_wide(self._dataset(novel), depth_counters), ()))
 
 
 class CrawlJobRunner:
@@ -660,25 +861,15 @@ class CrawlJobRunner:
     ):
         self.site = site
         self.cfg = cfg or CrawlConfig()
-        # user-extension surface on the emit path (ITEM_PIPELINES
-        # analog, reference settings.py:105-108): priority-ordered
-        # Table->Table steps applied to emitted item rows on BOTH the
-        # Dataset path (stages.steps.compose) and the micro path
-        # (apply_steps_table; class steps instantiated once per job,
-        # mirroring once-per-actor construction). Steps see item rows
-        # only — the crawl frontier, ordering, and dedup state are
-        # upstream and unaffected.
+        # user emit steps (see _EmitKernel); class steps built on the
+        # driver are kept here for the whole job
         self.emit_steps = list(emit_steps or [])
         self._emit_step_instances: dict = {}
-        # micro-path kernel broadcast refs, put lazily once per job
-        self._micro_link_kern = None
-        self._micro_image_kern = None
-        # in-memory frontier handoff between consecutive micro rounds:
-        # (round, table) of the LAST checkpoint written from a driver
-        # table — the next round reads this instead of re-parsing the
-        # parquet it just wrote (the write itself always happens, so
-        # resume still reads from disk; the stash is a pure read-back
-        # skip and is byte-equivalent to the file)
+        # in-memory frontier handoff between consecutive table-executor
+        # rounds: (round, table) of the LAST checkpoint written from a
+        # driver table — the next round reads this instead of re-parsing
+        # the parquet it just wrote (the write itself always happens, so
+        # resume still reads from disk)
         self._frontier_stash: tuple[int, pa.Table] | None = None
         self.corpus_dir = Path(corpus_dir)
         self.out_dir = Path(out_dir)
@@ -730,6 +921,16 @@ class CrawlJobRunner:
             self.images_ref = ray.put((images, img_perm, str(images_path)))
         else:
             self.images_ref = None
+        # round-independent payload kernels; JS sites route bodies
+        # through the render step (reference picks DomainSpiderJs by the
+        # handle_javascript flag)
+        fetcher_cls = JsFetcher if site.handle_javascript else CorpusFetcher
+        self._kernels = {
+            "links": _LinkKernel(self.corpus_ref, fetcher_cls, self.scope, self.robots),
+            "images": _ImageKernel(self.images_ref),
+        }
+        # their table-executor broadcasts, put once per job on first use
+        self._kernel_refs: dict[str, ray.ObjectRef] = {}
         self.shards = make_shard_pool(self.cfg.num_shards, self.cfg.shard_capacity)
         self.depth_counters: dict[int, int] = {}
 
@@ -738,7 +939,7 @@ class CrawlJobRunner:
         urls = [canonicalize(u) for u in self.site.starting_urls]
         denied: list[dict] = []
         rows = []
-        for i, url in enumerate(urls):
+        for url in urls:
             reason = self.scope.evaluate(pd.Series([url]), np.array([0])).iloc[0]
             if reason == KEEP and not self.robots.allowed(url):
                 reason = DENY_ROBOTS
@@ -762,20 +963,19 @@ class CrawlJobRunner:
                     -1, digest, sub, np.zeros(len(sub), dtype=np.uint64), log=False
                 )
             )
-        frontier_rows = {k: [] for k in FRONTIER_COLUMNS}
-        seq = 0
-        for i, url in enumerate(rows):
-            if not novel[i]:
-                denied.append({"url": url, "reason": DENY_DUPLICATE, "round": -1})
-                continue
-            frontier_rows["depth"].append(0)
-            frontier_rows["seq"].append(seq)
-            frontier_rows["url"].append(url)
-            frontier_rows["domain"].append(host_of(url))
-            frontier_rows["url_hash"].append(int(hashes[i]))
-            seq += 1
-        self.depth_counters = {0: seq}
-        return pa.table(frontier_rows, schema=_FRONTIER_SCHEMA), denied
+        denied += [
+            {"url": u, "reason": DENY_DUPLICATE, "round": -1} for u, n in zip(rows, novel) if not n
+        ]
+        seeds = [u for u, n in zip(rows, novel) if n]
+        self.depth_counters = {0: len(seeds)}
+        frontier = {
+            "depth": np.zeros(len(seeds), dtype=np.int32),
+            "seq": np.arange(len(seeds), dtype=np.int64),
+            "url": seeds,
+            "domain": [host_of(u) for u in seeds],
+            "url_hash": hashes[novel],
+        }
+        return pa.table(frontier, schema=_FRONTIER_SCHEMA), denied
 
     def _write_checkpoint(self, k: int, frontier: rd.Dataset | pa.Table, manifest_extra: dict) -> int:
         fdir = self.ckpt.frontier_dir(k)
@@ -881,12 +1081,15 @@ class CrawlJobRunner:
         total_fetched = 0
         per_round: list[int] = []
         slots = _task_slots()
+        table_ex, dataset_ex = _TableRound(self, slots), _DatasetRound(self, slots)
         k = start_round
         while k < cfg.max_rounds:
             manifest = self.ckpt.read_manifest(k)
             if manifest is None or manifest["frontier_rows"] == 0:
                 break
-            fetched_count = self._run_round(k, manifest["frontier_rows"], slots)
+            rows_in = manifest["frontier_rows"]
+            micro = 0 < cfg.micro_round_rows and rows_in <= cfg.micro_round_rows
+            fetched_count = self._run_round(k, rows_in, table_ex if micro else dataset_ex)
             per_round.append(fetched_count)
             total_fetched += fetched_count
             k += 1
@@ -903,12 +1106,11 @@ class CrawlJobRunner:
 
     # --- one BSP round ---------------------------------------------------
     def _grant_thresholds(self, totals: dict[str, int], candidates_for):
-        """Two-phase narrow politeness merge shared by the Dataset and
-        micro paths: domains whose global count stays under budget
-        grant everything (threshold = UINT64_MAX) without a candidate
-        pass; ``candidates_for(over)`` supplies per-block candidate
-        packs only for the over-budget domains. Returns the sorted
-        (domains, thresholds) broadcast table."""
+        """Two-phase narrow politeness merge: domains whose global count
+        stays under budget grant everything (threshold = UINT64_MAX)
+        without a candidate pass; ``candidates_for(over)`` supplies
+        per-block candidate packs only for the over-budget domains.
+        Returns the sorted (domains, thresholds) lookup table."""
         from ..stages.politeness import merge_grant_thresholds
 
         cfg = self.cfg
@@ -932,523 +1134,107 @@ class CrawlJobRunner:
             thr_all[np.searchsorted(all_doms, dom_o)] = thr_o
         return all_doms, thr_all
 
-    def _run_round_micro(self, k: int, slots: int) -> int:
-        """Micro-round fast path (rows_in ≤ cfg.micro_round_rows): the
-        SAME kernel objects as the Dataset path, but cheap stages run
-        as direct calls on one driver-side Arrow table and the two
-        payload-bound stages (body join + link extraction, image
-        attach/decode) run as raw Ray tasks over zero-copy table
-        chunks — no streaming-executor launches at all. A normal tiny
-        round pays ~9 executor spin-ups (~0.2 s each at 32 CPUs,
-        growing with cluster size) for milliseconds of work; the BFS
-        ramp and tail rounds are exactly such rounds. Sinks land via
-        _write_table_round (same directory layout). Parity with the
-        Dataset path is pinned by running the e2e simulator suite in
-        BOTH modes (micro_round_rows=0 forces the Dataset path)."""
+    def _run_round(self, k: int, rows_in: int, ex: _TableRound | _DatasetRound) -> int:
+        """Round k on executor ``ex``; returns the number of fetched rows.
+        Sinks are written before the checkpoint, so a complete manifest
+        implies complete lineage."""
+        from ..stages.politeness import TagGrant, block_grant_candidates, block_grant_counts
+
         cfg = self.cfg
-        from ..stages.politeness import (
-            TagGrant,
-            block_grant_candidates,
-            block_grant_counts,
-        )
+        frontier = ex.read(k)
 
-        stash = self._frontier_stash
-        if stash is not None and stash[0] == k:
-            frontier_tab = stash[1]  # byte-equivalent to the file
-        else:
-            frontier_tab = pq.read_table(str(self.ckpt.frontier_dir(k)))
-
-        # 1. politeness — the shared two-phase narrow merge, one block
-        totals = block_grant_counts()(frontier_tab)
-        all_doms, thr_all = self._grant_thresholds(
-            totals,
-            lambda over: [
-                block_grant_candidates(
-                    self.robots, cfg.round_seconds, only_domains=over
-                )(frontier_tab)
-            ],
-        )
-        # raw tuple, not ray.put: the micro path applies the tag on the
-        # driver table directly — no broadcast, no plasma copy
-        marked = TagGrant((all_doms, thr_all))(frontier_tab)
-        granted = marked.filter(marked["granted"]).drop_columns(["granted"])
-        carry = marked.filter(pc.invert(marked["granted"])).drop_columns(["granted"])
-
-        # 2. fetch metadata join (broadcast corpus metadata, no payloads)
-        fetched = CorpusFetcher(self.corpus_ref, meta_only=True)(granted).select(
-            _FETCH_META_COLS
-        )
-        n_fetched = len(fetched)
-
-        # 3. order + spent lineage
-        _write_table_round(_order_rows_kernel(fetched, k), self.out_dir / "order", k)
-        spent = {d: int(c) for d, c in block_grant_counts()(fetched).items()}
-
-        # 4. emit + image landing (payload gathers as chunked raw
-        # tasks) — the decode task FUTURES are submitted here but
-        # gathered AFTER the link chain below, so the two payload-bound
-        # stages overlap on the worker pool instead of paying two
-        # serial ray.get barriers
-        emit = _add_round(_EmitKernel(self.site.output_target)(fetched), k)
-        if self.emit_steps:
-            from ..stages.steps import apply_steps_table
-
-            emit = apply_steps_table(emit, self.emit_steps, self._emit_step_instances)
-        _write_table_round(_strip_image_id(emit), self.out_dir / "emitted", k)
-        img_futs: list = []
-        if self.images_ref is not None and "image_id" in emit.column_names:
-            img_rows = _image_rows(emit)
-        else:
-            img_rows = []
-        if len(img_rows):
-            # round-independent kernel: put once per job, reuse the ref
-            # every micro round (serialize + plasma copy paid once)
-            kern = self._micro_image_kern
-            if kern is None:
-                kern = self._micro_image_kern = ray.put(
-                    _MicroImageKernel(self.images_ref)
-                )
-            # only image rows ship, one chunk per 128 of them (_fan_out
-            # caps it at 2 per task slot): a warm kernel still pays a
-            # task launch and its payload row-group reads per chunk
-            chunks = _table_chunks(img_rows, _fan_out(len(img_rows), 128, 1, slots))
-            img_futs = [_warm_apply.remote([kern], c) for c in chunks]
-
-        # 5. link chain (body gathers as chunked raw tasks, running
-        # concurrently with the image decode tasks submitted above)
-        if self.site.prevent_follow:
-            scoped = None
-        else:
-            fetcher_cls = JsFetcher if self.site.handle_javascript else CorpusFetcher
-            kern = self._micro_link_kern  # round-independent, put once
-            if kern is None:
-                kern = self._micro_link_kern = ray.put(
-                    _MicroLinkKernel(self.corpus_ref, fetcher_cls, self.scope, self.robots)
-                )
-            # one chunk per 64 rows, same rule (the link chain is ~ms
-            # per row, so a sub-hundred-row task is mostly launch cost,
-            # while a single mega-chunk serializes the payload row-group
-            # reads)
-            chunks = _table_chunks(granted, _fan_out(len(granted), 64, 1, slots))
-            parts = [
-                p
-                for p in ray.get([_warm_apply.remote([kern], c) for c in chunks])
-                if len(p)
-            ]
-            scoped = pa.concat_tables(parts).combine_chunks() if parts else None
-        if img_futs:
-            img_parts = [p for p in ray.get(img_futs) if len(p)]
-            if img_parts:
-                _write_table_round(
-                    pa.concat_tables(img_parts).combine_chunks(),
-                    self.out_dir / "corpus",
-                    k,
-                )
-        if scoped is None or len(scoped) == 0:
-            next_tab = pa.concat_tables(
-                [carry.select(FRONTIER_COLUMNS).cast(_FRONTIER_SCHEMA)]
-            )
-            self._write_checkpoint(
-                k + 1, next_tab, {"granted": spent, "fetched": n_fetched}
-            )
-            return n_fetched
-
-        # 6+7. fused intra-round first-wins + URL-seen membership — the
-        # identical RPC protocol, one driver-side pass
-        denied_tab = _DeniedKernel(k, keep_side=False)(scoped)
-        cands = _DeniedKernel(k, keep_side=True)(scoped)
-        if len(cands):
-            packed = _pack_admission(cands)
-            # single-block mode: the whole round is ONE router call, so
-            # local first-wins already made every offered hash unique —
-            # corrections are empty by construction; skip both the
-            # offer log (log=False) and the collect_corrections
-            # all-shard barrier (one RPC round-trip saved per round)
-            fixed = FusedDedupRouter(self.shards, k, log=False)(packed)
-            intra_dups = _IntraDupKernel(k)(fixed)
-            marked2 = fixed.filter(fixed["intra_first"])
-            dup_denied = _DupDeniedKernel(k)(marked2)
-            novel_tab = marked2.filter(marked2["novel"]).drop_columns(
-                ["novel", "intra_first"]
-            )
-            denied_all = pa.concat_tables([denied_tab, intra_dups, dup_denied])
-        else:
-            novel_tab = _empty_frontier()
-            denied_all = denied_tab
-        _write_table_round(denied_all, self.out_dir / "denied", k)
-
-        # 8. admission-order seq assignment (always the narrow kernel:
-        # novel is bounded by the fan-out of ≤ micro_round_rows pages)
-        counters = dict(self.depth_counters)
-        if len(novel_tab):
-            nf_tab = _assign_seq_kernel(novel_tab.combine_chunks(), counters)
-            vals, cnts = np.unique(nf_tab["depth"].to_numpy(), return_counts=True)
-            for dd, cnt in zip(vals, cnts):
-                self.depth_counters[int(dd)] = self.depth_counters.get(int(dd), 0) + int(cnt)
-        else:
-            nf_tab = _empty_frontier()
-        next_tab = pa.concat_tables(
-            [
-                carry.select(FRONTIER_COLUMNS).cast(_FRONTIER_SCHEMA),
-                nf_tab.select(FRONTIER_COLUMNS).cast(_FRONTIER_SCHEMA),
-            ]
-        )
-        self._write_checkpoint(k + 1, next_tab, {"granted": spent, "fetched": n_fetched})
-        return n_fetched
-
-    def _run_round(self, k: int, rows_in: int, slots: int) -> int:
-        cfg = self.cfg
-        if 0 < cfg.micro_round_rows and rows_in <= cfg.micro_round_rows:
-            return self._run_round_micro(k, slots)
-        frontier = rd.read_parquet(str(self.ckpt.frontier_dir(k)))
-
-        # 1. politeness grant. Normal rounds: NO exchange — each block
-        # surfaces its per-domain top-B (depth, seq) packs via raw
-        # block-ref tasks, the driver merges them into one exact
-        # threshold per domain, and a broadcast searchsorted tag pass
-        # marks grants (grant set identical to the partition kernel —
-        # parity pinned in tests). Huge frontiers keep the coarse
-        # hash-partition exchange so driver memory stays bounded
-        # (candidate lists are O(domains × B × blocks) ≤ frontier rows).
-        from ..stages.politeness import (
-            TagGrant,
-            block_grant_candidates,
-            block_grant_counts,
-            partition_grant_thresholds,
-            politeness_partition_key,
-            prune_grant_candidates,
-        )
-
-        if rows_in <= cfg.politeness_driver_rows:
-            fmat = frontier.materialize()
-            # two-phase driver merge: (1) per-domain COUNTS (O(domains)
-            # per block); domains under budget grant everything without
-            # shipping a pack; (2) candidate packs only for over-budget
-            # domains — with generous budgets (long rounds) the driver
-            # never sees O(frontier) rows, which kept this path ~flat in
-            # CPU count (BASELINE.md politeness 0.9x/4)
-            totals: dict[str, int] = {}
-            for part in _map_block_refs(fmat, block_grant_counts()):
-                for dom, cnt in part.items():
-                    totals[dom] = totals.get(dom, 0) + cnt
-            all_doms, thr_all = self._grant_thresholds(
+        # 1. politeness: granted ⇔ pack(depth, seq) ≤ the domain's
+        # threshold. Per-domain COUNTS first (O(domains) per block);
+        # domains under budget grant everything without shipping a pack,
+        # and only over-budget domains pay the candidate pass.
+        thr = ex.exchange_thresholds(frontier, rows_in)
+        if thr is None:
+            totals = _sum_counts(ex.blocks(frontier, block_grant_counts()))
+            thr = self._grant_thresholds(
                 totals,
-                lambda over: _map_block_refs(
-                    fmat,
-                    block_grant_candidates(
-                        self.robots, cfg.round_seconds, only_domains=over
-                    ),
+                lambda over: ex.blocks(
+                    frontier,
+                    block_grant_candidates(self.robots, cfg.round_seconds, only_domains=over),
                 ),
             )
-            thr_ref = ray.put((all_doms, thr_all))
-            marked = fmat.map_batches(TagGrant(thr_ref), batch_format="pyarrow")
-        else:
-            # huge frontiers: same threshold+tag structure, but the
-            # per-block candidate merge happens in a PRUNED exchange
-            # instead of on the driver. Only per-batch per-domain top-B
-            # (domain, pack) rows shuffle — ≤ B rows per domain per
-            # batch, so a 10^9-row hot domain is skew-bounded at the
-            # source and the frontier itself never moves. The resulting
-            # threshold table is O(domains) and broadcasts like the
-            # narrow path's.
-            n_parts = cfg.politeness_parts
+        marked = ex.map(frontier, TagGrant(ex.share(thr)))
+        # not materialized: re-running the cheap tag pass in the link
+        # chain costs less than one more Ray Data execution (~30 MB of
+        # peak RSS on the wide_bfs benchmark round)
+        granted = ex.map(marked, _granted_rows)
 
-            def add_part(t: pa.Table) -> pa.Table:
-                # dictionary-encode so only DISTINCT domains are hashed —
-                # no per-row Python string materialization
-                enc = pc.dictionary_encode(t["domain"].combine_chunks())
-                part_of = politeness_partition_key(enc.dictionary.to_pylist(), n_parts)
-                idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-                return t.append_column("part", pa.array(part_of[idx], type=pa.int32()))
+        # 2. fetch METADATA (hash join vs the broadcast corpus metadata;
+        # bodies are gathered again inside the link chain, so payloads
+        # never park in the object store; content_language is read back
+        # from the corpus at read time)
+        fetch = CorpusFetcher(self.corpus_ref, meta_only=True)
+        fetched = ex.materialize(ex.map(granted, lambda t: fetch(t).select(_FETCH_META_COLS)))
+        n_fetched = ex.count(fetched)
 
-            thr_tab = (
-                frontier.map_batches(
-                    prune_grant_candidates(self.robots, cfg.round_seconds),
-                    batch_format="pyarrow",
-                )
-                .map_batches(add_part, batch_format="pyarrow")
-                .groupby("part")
-                .map_groups(
-                    partition_grant_thresholds(self.robots, cfg.round_seconds),
-                    batch_format="pyarrow",
-                )
-                .to_pandas()
+        # 3. order lineage (fetch order = (round, depth, seq)) and the
+        # spent-per-domain manifest record
+        ex.write(ex.map(fetched, lambda t: _order_rows_kernel(t, k)), self.out_dir / "order", k)
+        spent = _sum_counts(ex.blocks(fetched, block_grant_counts()))
+
+        # 4. emit, then image landing for the emitted rows that carry an
+        # image; a round without any starts no image stage
+        emit = ex.materialize(
+            ex.map(
+                fetched,
+                _EmitKernel(self.site.output_target, k, self.emit_steps, self._emit_step_instances),
             )
-            dom_np = thr_tab["domain"].to_numpy(dtype="U")
-            order = np.argsort(dom_np, kind="mergesort")
-            thr_ref = ray.put(
-                (dom_np[order], thr_tab["thr"].to_numpy(dtype=np.uint64)[order])
+        )
+        ex.write(ex.map(emit, _strip_image_id), self.out_dir / "emitted", k)
+        n_img = sum(ex.blocks(emit, _image_count)) if self.images_ref is not None else 0
+        images = ex.payload(ex.map(emit, _image_rows), "images", n_img) if n_img else None
+
+        # 5. link chain. The table executor's image tasks are already
+        # running: they overlap the link tasks and are gathered at the
+        # corpus write. prevent_follow (reference domain_spider.py:74-76)
+        # fetches and emits only: no candidates, no link denials.
+        scoped = None if self.site.prevent_follow else ex.materialize(
+            ex.payload(granted, "links", n_fetched)
+        )
+        if images is not None:
+            ex.write(images, self.out_dir / "corpus", k)
+
+        next_parts = [ex.map(marked, _carried_rows)]
+        if ex.count(scoped):
+            # 6. fused intra-round first-wins + URL-seen novelty in ONE
+            # RPC pass: per-batch local first-wins by min adm_key, local
+            # winners offered to the shard actors; with several batches,
+            # the shards' multi-offer corrections are broadcast back so
+            # each url_hash's winner is its min-adm_key row. One call
+            # over the whole round offers unique hashes only: no offer
+            # log, no corrections. Runs once per round; the (round,
+            # batch-digest) memo covers task retries.
+            router = FusedDedupRouter(self.shards, k, log=not ex.whole_table)
+            offered = ex.materialize(
+                ex.map(ex.map(scoped, _candidates), router), batch_size=cfg.dedup_batch_size
             )
-            marked = frontier.map_batches(
-                TagGrant(thr_ref), batch_format="pyarrow"
-            ).materialize()
-        granted = marked.map_batches(
-            lambda t: t.filter(t["granted"]).drop_columns(["granted"]),
-            batch_format="pyarrow",
-        )
-        carry = marked.map_batches(
-            lambda t: t.filter(pc.invert(t["granted"])).drop_columns(["granted"]),
-            batch_format="pyarrow",
-        )
-
-        # 2. fetch (task-based hash join vs the broadcast corpus; block
-        # count = fetch parallelism, so split wide rounds first)
-        if rows_in > 128:
-            # each fetch/links task gathers its rows' payload row-groups,
-            # so block count = gather parallelism. Sparse rounds touch ~1
-            # row group PER ROW (seeds scatter across the corpus), so the
-            # quota is 8 rows per block (_fan_out: floor 2, ≤ 2 per task
-            # slot) — a 400-seed round 0 otherwise serialized ~67
-            # row-group decompressions inside each of 6 tasks.
-            granted = granted.repartition(_fan_out(rows_in, 8, 2, slots))
-        # granted (narrow frontier rows) is materialized ONCE after its
-        # shuffle: the fetch-metadata join and the link chain both read
-        # it, and a lazy view would re-run TagGrant + the repartition
-        # for each.
-        granted = granted.materialize()
-        # Only fetch METADATA is materialized from the join; the body
-        # join re-runs inside the fused link chain below so multi-GB
-        # payloads stream through tasks without ever parking in the
-        # object store.
-        # The materialized table is NARROW: url and content_language are
-        # dropped right after the join (everything downstream keys on
-        # url_hash; strings are reconstructed from the corpus metadata
-        # only at read time — read_order/read_emitted), so the blocks
-        # the order/emit sinks and the image path move are ints + the
-        # short domain/content_type strings.
-        fetched = granted.map_batches(
-            CorpusFetcher(self.corpus_ref, meta_only=True),
-            batch_format="pyarrow",
-            batch_size=cfg.fetch_batch_size,
-        ).map_batches(
-            lambda t: t.select(_FETCH_META_COLS), batch_format="pyarrow"
-        ).materialize()
-        n_fetched = fetched.count()
-
-        # 3. order/lineage sink (fetch order = (round, depth, seq)):
-        # url_hash + int16 status per row (see _order_rows_kernel);
-        # status stays for the close monitors' HTTP-code budget.
-        order = fetched.map_batches(
-            lambda t, _k=k: _order_rows_kernel(t, _k), batch_format="pyarrow"
-        )
-        _write_round(order, self.out_dir / "order", k)
-
-        # spent-per-domain lineage: per-block value_counts over the
-        # materialized fetch metadata via raw block-ref tasks (no sink
-        # read-back, no extra executor; same kernel as the politeness
-        # count pass — one implementation, politeness.block_grant_counts)
-        spent: dict[str, int] = {}
-        for part in _map_block_refs(fetched, block_grant_counts()):
-            for dom, cnt in part.items():
-                spent[dom] = spent.get(dom, 0) + cnt
-
-        # 4. emit + image payload landing, then the link chain below;
-        # both read the materialized fetch metadata / granted rows.
-        def _emit_and_decode() -> None:
-            emit = fetched.map_batches(
-                _EmitKernel(self.site.output_target), batch_format="pyarrow"
-            ).map_batches(_RoundStamp(k), batch_format="pyarrow")
-            if self.emit_steps:
-                # user emit steps (ITEM_PIPELINES analog) — composed as
-                # map_batches stages in (priority, name) order, same
-                # semantics as the micro path's apply_steps_table
-                from ..stages.steps import compose
-
-                # actor_pools=False: a pinned pool inside this round's
-                # executor contends with the shard/decode stages (can
-                # starve a small-CPU session); task-based steps share
-                # the worker pool with the round.
-                # MATERIALIZED once: the image branch below consumes
-                # the same lineage, and re-executing arbitrary user
-                # steps would run their side effects twice per round
-                # (the cheap built-in emit kernels tolerate the re-run;
-                # user code must not have to). Emit rows are narrow.
-                emit = compose(emit, self.emit_steps, actor_pools=False).materialize()
-                _write_round(
-                    emit.map_batches(_strip_image_id, batch_format="pyarrow"),
-                    self.out_dir / "emitted",
-                    k,
-                )
-                sch = emit.schema()
-                if sch is None or "image_id" not in sch.names:
-                    # a step reshaped item rows past the image contract
-                    # (or dropped every row — schema() is None then):
-                    # skip image landing, same as the micro path's guard
-                    return
-                count_src, count_fn = emit, _image_count
-            else:
-                # narrow sink: (depth, seq, url_hash, round); url/doc_id/
-                # content columns reconstruct at read time (read_emitted)
-                _write_round(emit.drop_columns(["image_id"]), self.out_dir / "emitted", k)
-                # the count re-runs the cheap emit kernel over the
-                # MATERIALIZED fetch metadata
-                emit_kern = _EmitKernel(self.site.output_target)
-                count_src = fetched
-
-                def count_fn(t: pa.Table) -> int:
-                    return _image_count(emit_kern(t)) if len(t) else 0
-
-            if self.images_ref is None:
-                return
-            # image rows counted by raw block tasks (no executor); a
-            # round without any starts no image stage
-            n_img = sum(_map_block_refs(count_src, count_fn))
-            if n_img == 0:
-                return
-            # only image rows shuffle, into _fan_out pieces (16 rows
-            # each, floor 2): block count = payload-gather parallelism,
-            # and sparse rounds inherit very few blocks from the fetch
-            # stage, which serializes the per-task image row-group reads
-            image_in = emit.map_batches(_image_rows, batch_format="pyarrow").repartition(
-                _fan_out(n_img, 16, 2, slots)
+            if not ex.whole_table:
+                corr_ref = ray.put(collect_corrections(self.shards, k))
+                offered = ex.map(offered, CorrectionFix(corr_ref))
+            ex.write(
+                ex.concat([ex.map(scoped, _DeniedKernel(k)), ex.map(offered, _DupDenied(k))]),
+                self.out_dir / "denied",
+                k,
             )
-            image_rows = image_in.map_batches(
-                ImageAttach(self.images_ref),
-                batch_format="pyarrow",
-                batch_size=cfg.decode_batch_size,
-            ).map_batches(
-                DecodePHash(),
-                batch_format="pyarrow",
-                batch_size=cfg.decode_batch_size,
-            )
-            _write_round(image_rows, self.out_dir / "corpus", k)
 
-        _emit_and_decode()
+            # 7. admission-order seq assignment of the novel rows
+            novel = ex.map(offered, _novel_rows)
+            new = ex.wide_seq(novel, self.depth_counters)
+            if new is None:
+                new = _assign_seq_kernel(ex.table(novel), self.depth_counters)
+            for d, c in _sum_counts(ex.blocks(new, _depth_counts)).items():
+                self.depth_counters[d] = self.depth_counters.get(d, 0) + c
+            next_parts.append(new)
 
-        # 5. link extraction → canonicalize → scope/robots as one
-        # FUSED task chain: body join → 200-filter → extract →
-        # canon/scope. Bodies exist only transiently inside each
-        # task; what materializes is the narrow scoped-candidate
-        # table. (Only 200-status pages parse — non-200 responses
-        # yield neither items nor links, reference CrawlSpider
-        # semantics.) prevent_follow mode (reference
-        # domain_spider.py:74-76) skips the link chain entirely:
-        # fetch + emit only, no candidates, no link denials.
-        # JS sites route bodies through the render step (reference
-        # picks DomainSpiderJs by the handle_javascript flag)
-        fetcher_cls = JsFetcher if self.site.handle_javascript else CorpusFetcher
-        if self.site.prevent_follow:
-            scoped = None
-        else:
-            scoped = granted.map_batches(
-                fetcher_cls(self.corpus_ref),
-                batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
-            ).map_batches(
-                lambda t: t.filter(pc.equal(t["status"], pa.scalar(200, type=pa.int16()))),
-                batch_format="pyarrow",
-            ).map_batches(
-                extract_links_batch, batch_format="pyarrow", batch_size=cfg.link_batch_size
-            ).map_batches(
-                _CanonScope(self.scope, self.robots), batch_format="pyarrow"
-            ).materialize()
-        # no link candidates (prevent_follow, or nothing scoped): the
-        # next frontier is the carry alone. count() on the MATERIALIZED
-        # scoped table is free (block metadata); counting the keep-side
-        # filter would spin another executor.
-        if scoped is None or scoped.count() == 0:
-            next_frontier = carry.map_batches(
-                lambda t: t.select(FRONTIER_COLUMNS), batch_format="pyarrow"
-            )
-            self._write_checkpoint(k + 1, next_frontier, {"granted": spent, "fetched": n_fetched})
-            return n_fetched
-        denied = scoped.map_batches(_DeniedKernel(k, keep_side=False), batch_format="pyarrow")
-        cands = scoped.map_batches(_DeniedKernel(k, keep_side=True), batch_format="pyarrow")
-        # wide-dispatch decides AFTER the dedup pass on the EXACT novel
-        # count (shard-size delta, one RPC per shard — the audit sets
-        # count distinct admitted hashes): seq assignment only sorts the
-        # novel rows, and dispatching on the scoped count (links, 10-20×
-        # larger) forced the sort exchange on rounds whose novel set fits
-        # one task's lexsort comfortably.
-        seen_before = int(sum(ray.get([s.size.remote() for s in self.shards])))
-
-        # 6+7. FUSED intra-round first-wins + URL-seen membership in ONE
-        # RPC pass (no sort exchange): per-batch local first-wins by min
-        # adm_key, local winners offered to the shard actors (provisional
-        # novelty answered immediately, offers logged), then the shards'
-        # multi-offer corrections broadcast back and applied — the
-        # deterministic winner of every url_hash is the min-adm_key row,
-        # exactly the admission order the old sort-based path produced
-        # (parity pinned by the simulator goldens + forced-path tests).
-        # Mutating stage — materialized exactly once; the (round,
-        # batch-digest) memo covers task retries.
-        offered = (
-            cands.map_batches(_pack_admission, batch_format="pyarrow")
-            .map_batches(
-                FusedDedupRouter(self.shards, k),
-                batch_format="pyarrow",
-                batch_size=cfg.dedup_batch_size,
-            )
-            .materialize()
-        )
-        corr_ref = ray.put(collect_corrections(self.shards, k))
-        fixed = offered.map_batches(CorrectionFix(corr_ref), batch_format="pyarrow")
-        n_novel = int(sum(ray.get([s.size.remote() for s in self.shards]))) - seen_before
-        wide = n_novel > cfg.wide_round_rows
-        intra_dups = fixed.map_batches(_IntraDupKernel(k), batch_format="pyarrow")
-        marked2 = fixed.map_batches(
-            lambda t: t.filter(t["intra_first"]), batch_format="pyarrow"
-        )
-        dup_denied = marked2.map_batches(_DupDeniedKernel(k), batch_format="pyarrow")
-        novel = marked2.map_batches(
-            lambda t: t.filter(t["novel"]).drop_columns(["novel", "intra_first"]),
-            batch_format="pyarrow",
-        )
-
-        # one denial-lineage write per round: scope/robots ∪ intra-round
-        # dups ∪ cross-round dups (same schema, single sink execution),
-        # written before the checkpoint so a completed manifest always
-        # implies complete lineage.
-        _write_round(denied.union(intra_dups, dup_denied), self.out_dir / "denied", k)
-
-        # 8. admission-order seq assignment
-        counters = dict(self.depth_counters)
-        if wide:
-            # block-level prefix sum over a distributed sort
-            new_frontier = _assign_seq_wide(novel, counters, has_adm_key=True).materialize()
-            # per-depth counts via raw block-ref tasks (no Aggregate
-            # exchange, no executor spin-up)
-            def _depth_counts(t: pa.Table) -> dict[int, int]:
-                if len(t) == 0:
-                    return {}
-                vals, cnts = np.unique(t["depth"].to_numpy(), return_counts=True)
-                return {int(v): int(c) for v, c in zip(vals, cnts)}
-
-            for part in _map_block_refs(new_frontier, _depth_counts):
-                for dd, cnt in part.items():
-                    self.depth_counters[dd] = self.depth_counters.get(dd, 0) + cnt
-        else:
-            # narrow rounds: gather the novel rows (bounded by
-            # wide_round_rows) via raw block-ref tasks and run the
-            # single-block kernel driver-side — no repartition(1)
-            # exchange, no extra executor, and depth counters come
-            # straight off the result table
-            fix2 = CorrectionFix(corr_ref)
-
-            def _novel_tab(t: pa.Table) -> pa.Table:
-                if len(t) == 0:  # Ray can emit column-less empty blocks
-                    return t
-                ft = fix2(t)
-                keep = pc.and_(ft["intra_first"], ft["novel"])
-                return ft.filter(keep).drop_columns(["novel", "intra_first"])
-
-            tabs = [t for t in _map_block_refs(offered, _novel_tab) if len(t)]
-            if tabs:
-                novel_tab = pa.concat_tables(tabs).combine_chunks()
-                nf_tab = _assign_seq_kernel(novel_tab, counters)
-            else:
-                nf_tab = _empty_frontier()
-            if len(nf_tab):
-                vals, cnts = np.unique(nf_tab["depth"].to_numpy(), return_counts=True)
-                for dd, cnt in zip(vals, cnts):
-                    self.depth_counters[int(dd)] = self.depth_counters.get(int(dd), 0) + int(cnt)
-            new_frontier = rd.from_arrow(nf_tab)
-
-        next_frontier = carry.map_batches(
-            lambda t: t.select(FRONTIER_COLUMNS), batch_format="pyarrow"
-        ).union(new_frontier)
+        next_frontier = ex.result(ex.concat(next_parts))
         self._write_checkpoint(k + 1, next_frontier, {"granted": spent, "fetched": n_fetched})
         return n_fetched
+
+
 
 
 def _corpus_lookup(out_dir: str | Path) -> tuple[np.ndarray, np.ndarray, pa.Table]:
@@ -1530,11 +1316,9 @@ def read_denied(out_dir: str | Path) -> set[tuple[str, str]]:
 
 def read_seen(runner: CrawlJobRunner) -> set[int]:
     """URL-seen parity view: union of shard audit sets (hash space)."""
-    import ray as _ray
-
-    dumps = _ray.get([s.dump.remote() for s in runner.shards])
     from ..state.cuckoo import UrlSeenShard
 
+    dumps = ray.get([s.dump.remote() for s in runner.shards])
     seen: set[int] = set()
     for blob in dumps:
         seen |= UrlSeenShard.load(blob).exact

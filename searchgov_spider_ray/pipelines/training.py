@@ -28,7 +28,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..functions.hashing import xxhash64_array
 from ..functions.simdedup import (
     MinHasher,
     containment,

@@ -14,10 +14,12 @@ semantics, not a bug (SURVEY.md §4 skew row). The same
 :class:`searchgov_spider_ray.pipelines.simulator.RobotsRules` model
 backs the golden simulator, so compliance is checkable exactly.
 
-Two pieces:
+Pieces:
 * ``PolitenessSelect`` — the per-domain ``groupby(domain).map_groups``
-  kernel marking granted rows (this is the designed politeness
-  shuffle; key = domain).
+  grant kernel: the reference the threshold kernels below are tested
+  against.
+* per-domain grant thresholds (per-block top-B candidates, a driver or
+  exchange merge, the ``TagGrant`` tag pass) — what the crawl runs.
 * ``robots_reason`` — vectorized robots disallow check used during
   admission (denied URLs never enter the frontier or the seen set —
   pinned in simulator.py).
@@ -61,59 +63,20 @@ class PolitenessSelect:
         return group
 
 
-class PolitenessSelectPartition:
-    """Vectorized politeness over ONE coarse hash partition of domains
-    (``groupby(hash(domain) % P)``): sort the partition by (domain,
-    depth, seq), detect domain runs, grant segment-rank < budget. One
-    Python call per PARTITION instead of per domain — at web scale
-    (10^6+ hosts) the per-domain ``map_groups`` costs one interpreter
-    round-trip per host; this pays P ≈ a few per core. Grant semantics
-    are identical to :class:`PolitenessSelect` (pinned by a direct
-    parity test and the simulator goldens).
-
-    Kept as the reference kernel for parity tests; the frontier's wide
-    path now uses the cheaper pruned-exchange threshold flow
-    (``prune_grant_candidates`` → ``partition_grant_thresholds`` →
-    ``TagGrant``), which shuffles only per-batch top-B candidates
-    instead of the whole frontier."""
-
-    def __init__(self, robots: RobotsRules, round_seconds: float):
-        self.robots = robots
-        self.round_seconds = round_seconds
-
-    def __call__(self, part: pd.DataFrame) -> pd.DataFrame:
-        g = part.sort_values(["domain", "depth", "seq"], kind="mergesort")
-        if "part" in g.columns:
-            g = g.drop(columns=["part"])
-        dom = g["domain"].to_numpy(dtype=object)
-        n = len(dom)
-        if n == 0:
-            return g.assign(granted=np.zeros(0, dtype=bool))
-        new = np.concatenate(([True], dom[1:] != dom[:-1]))
-        seg = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        budgets = np.fromiter(
-            (self.robots.budget(d, self.round_seconds) for d in dom[starts]),
-            dtype=np.int64,
-            count=len(starts),
-        )
-        rank = np.arange(n, dtype=np.int64) - starts[seg]
-        return g.assign(granted=rank < budgets[seg])
-
-
-# --- exchange-free politeness (per-block top-B + driver threshold merge) ---
+# --- politeness as a per-domain threshold (per-block top-B candidates) ---
 #
 # Grant rule per domain: sort by (depth, seq), grant the first
 # B = budget(domain) rows. Because (depth, seq) is unique per frontier
 # row, "granted" ⇔ pack(depth, seq) ≤ the B-th smallest pack within
 # the domain. B is SMALL (≈ round_seconds / crawl_delay), so each
-# block only needs to surface its per-domain B smallest packs; the
-# driver merges those candidate lists exactly and broadcasts one
-# threshold per domain — no groupby exchange over the frontier at all.
-# Driver memory is O(Σ_blocks Σ_domains min(B, rows)) ≤ frontier rows,
-# so the frontier loop dispatches to this path only below
-# ``politeness_driver_rows`` and keeps the partition-exchange kernel
-# above it (same dispatch discipline as wide_round_rows).
+# block only needs to surface its per-domain B smallest packs, and
+# merging those candidate lists gives the exact threshold; a tag pass
+# then marks grants. Up to ``politeness_driver_rows`` frontier rows the
+# driver merges the lists (memory O(Σ_blocks Σ_domains min(B, rows))
+# ≤ frontier rows), on either executor. Above it the Dataset executor
+# merges them in a pruned groupby(partition) exchange
+# (prune_grant_candidates → partition_grant_thresholds), which moves
+# only the candidates, never the frontier.
 
 _GRANT_SEQ_BITS = 56
 
@@ -358,7 +321,6 @@ def robots_reason(urls: pd.Series, robots: RobotsRules) -> np.ndarray:
 
 __all__ = [
     "PolitenessSelect",
-    "PolitenessSelectPartition",
     "politeness_partition_key",
     "robots_reason",
     "RobotsRules",

@@ -61,26 +61,26 @@ def steps_from_settings(mapping: dict[Callable | type, int | None]) -> list[Step
 
 def ordered_steps(steps: list[Step]) -> list[Step]:
     """Enabled steps in (priority, name) order — the single ordering
-    rule shared by the Dataset composition and the micro-round
-    driver-side application, so both crawl paths run user steps in the
-    same order on the same rows.
+    rule shared by the Dataset composition and the per-table
+    application the crawl's emit stage uses.
 
     STATEFULNESS CONTRACT: a class step's state must be read-only after
     construction (compiled patterns, lookup tables, clients). Batches
     run in parallel on every path (actor pools have N instances; task
-    mode deserializes per task; the micro path reuses one instance per
-    job), so cross-batch mutable accumulation was never well-defined —
-    a step that mutates state per batch produces path-dependent output
-    and is unsupported."""
+    mode deserializes per task; the crawl's table executor reuses one
+    instance per job), so cross-batch mutable accumulation was never
+    well-defined — a step that mutates state per batch produces
+    path-dependent output and is unsupported."""
     return sorted((s for s in steps if s.enabled), key=lambda s: (s.priority, s.label()))
 
 
 def apply_steps_table(table, steps: list[Step], instances: dict | None = None):
-    """Apply steps to ONE driver-side Arrow table — the micro-round
-    analog of :func:`compose`. Class steps are instantiated once and
-    cached in ``instances`` (keyed by step label), mirroring the
-    once-per-actor construction of the Dataset path; plain functions
-    are called directly. Same (priority, name) order as compose."""
+    """Apply steps to ONE Arrow table — the per-table analog of
+    :func:`compose`, run by the crawl's emit stage on both executors.
+    Class steps are instantiated once and cached in ``instances``
+    (keyed by step label), mirroring the once-per-actor construction
+    of compose; plain functions are called directly. Same (priority,
+    name) order as compose."""
     for s in ordered_steps(steps):
         if isinstance(s.fn, type):
             if instances is None:

@@ -484,7 +484,7 @@ class TestMicroRounds:
             has_image = emitted["url"].map(lambda u: corpus[u].get("image_id") is not None)
             image_rounds = set(emitted.loc[has_image, "round"])
             assert image_rounds and len(image_rounds) < res.rounds
-            image_kern = runner._micro_image_kern.binary()
+            image_kern = runner._kernel_refs["images"].binary()
             image_tasks = [n for key, n in submitted if key == image_kern]
             # each image round has fewer than 128 image rows: one task
             assert len(image_tasks) == len(image_rounds)
@@ -550,7 +550,7 @@ class TestMicroRounds:
             out = tmp_path / f"out{i}"
             runner, _ = _run(site, corpus_dir, out)
             try:
-                keys.append(runner._micro_link_kern.binary())
+                keys.append(runner._kernel_refs["links"].binary())
                 _assert_sim_parity(runner, out, sim)
             finally:
                 runner.close()

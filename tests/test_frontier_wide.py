@@ -1,10 +1,12 @@
-"""Forced-wide-round parity: with ``wide_round_rows=0`` every round
-takes the distributed sort + block-prefix-sum seq assignment
-(_assign_seq_wide) instead of the single-block kernel — the output
-must be byte-identical to the reference simulator goldens (same
-contract as the narrow path). Dedup itself no longer dispatches on
-round size: the fused shard-offer pass (tests/test_fused_dedup.py)
-runs at every size."""
+"""Forced scale-branch parity on the Dataset executor
+(``micro_round_rows=0``): with ``wide_round_rows=0`` every round takes
+the distributed sort + block-prefix-sum seq assignment
+(_assign_seq_wide) instead of the single-block kernel, and with
+``politeness_driver_rows=0`` every round merges its grant thresholds
+in the pruned partition exchange. The output must match the reference
+simulator goldens, the same contract as the default paths. Dedup
+itself does not dispatch on round size: the fused shard-offer pass
+(tests/test_fused_dedup.py) runs at every size."""
 
 from __future__ import annotations
 
@@ -47,7 +49,9 @@ def test_wide_round_parity(job, corpus_dir, tmp_path):
     captions = {r["image_id"]: r["caption"] for r in images}
 
     out = tmp_path / "out"
-    cfg = CrawlConfig(round_seconds=ROUND_SECONDS, num_shards=4, wide_round_rows=0)
+    cfg = CrawlConfig(
+        round_seconds=ROUND_SECONDS, num_shards=4, wide_round_rows=0, micro_round_rows=0
+    )
     runner = CrawlJobRunner(sites[job], corpus_dir, out, cfg)
     res = runner.run()
     sim = simulate_crawl(sites[job], corpus, robots, captions, round_seconds=ROUND_SECONDS)
@@ -77,7 +81,7 @@ def test_wide_politeness_parity(corpus_dir, tmp_path):
     out = tmp_path / "out"
     cfg = CrawlConfig(
         round_seconds=ROUND_SECONDS, num_shards=4,
-        politeness_driver_rows=0, politeness_parts=5,
+        politeness_driver_rows=0, politeness_parts=5, micro_round_rows=0,
     )
     runner = CrawlJobRunner(sites[job], corpus_dir, out, cfg)
     res = runner.run()

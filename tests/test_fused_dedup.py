@@ -275,7 +275,9 @@ class TestTinyBatchE2E:
         captions = {r["image_id"]: r["caption"] for r in images}
         site = sites["deep all domains"]
         out = tmp_path_factory.mktemp("fused_out")
-        cfg = CrawlConfig(round_seconds=ROUND_SECONDS, num_shards=4, dedup_batch_size=16)
+        cfg = CrawlConfig(
+            round_seconds=ROUND_SECONDS, num_shards=4, dedup_batch_size=16, micro_round_rows=0
+        )
         runner = CrawlJobRunner(site, corpus_dir, out, cfg)
         runner.run()
         sim = simulate_crawl(site, corpus, robots, captions, round_seconds=ROUND_SECONDS)

@@ -188,9 +188,9 @@ class TestScheduleReport:
 
 
 def test_politeness_partition_kernel_parity():
-    """PolitenessSelectPartition (coarse hash partitions, vectorized)
-    grants EXACTLY the rows PolitenessSelect (per-domain groups)
-    grants, on a randomized multi-domain frontier."""
+    """The threshold grant paths (driver merge, pruned partition
+    exchange) grant EXACTLY the rows PolitenessSelect (per-domain
+    groups) grants, on a randomized multi-domain frontier."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -198,7 +198,6 @@ def test_politeness_partition_kernel_parity():
     from searchgov_spider_ray.pipelines.simulator import RobotsRules
     from searchgov_spider_ray.stages.politeness import (
         PolitenessSelect,
-        PolitenessSelectPartition,
         politeness_partition_key,
     )
 
@@ -231,15 +230,6 @@ def test_politeness_partition_kernel_parity():
     for _, grp in df.groupby("domain"):
         out = per_domain(grp)
         ref_granted |= set(out[out["granted"]]["url"])
-
-    part_kernel = PolitenessSelectPartition(robots, 10.0)
-    df2 = df.assign(part=politeness_partition_key(df["domain"].to_numpy(object), 7))
-    got_granted = set()
-    for _, grp in df2.groupby("part"):
-        out = part_kernel(grp)
-        got_granted |= set(out[out["granted"]]["url"])
-        assert "part" not in out.columns
-    assert got_granted == ref_granted
 
     # exchange-free driver path: per-block top-B candidates over
     # ARBITRARY block splits -> merged thresholds -> pack<=thr lookup
