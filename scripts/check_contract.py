@@ -20,10 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import duckdb
 import pandas as pd
 
-TABLES = [
-    "region", "nation", "customer",
-    "orders", "lineitem", "events", "documents", "embeddings",
-]
+TABLES = ["documents", "embeddings"]
 
 
 def to_df(result) -> pd.DataFrame:

@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 import ray
 
-TABLES = "region nation customer orders lineitem events documents embeddings".split()
+TABLES = ["documents", "embeddings"]
 
 
 def to_pandas(result) -> pd.DataFrame:

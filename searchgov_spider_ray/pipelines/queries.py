@@ -2,14 +2,12 @@
 Dataset / DataFrame / Table; ``ORACLES`` holds the matching DuckDB SQL
 (same column names — the driver hash-compares values).
 
-Most entries cover what a crawl produces and what is done with it next:
+The entries cover what a crawl produces and what is done with it next:
 HTML parsing and sitemap diffs, document dedup (exact, MinHash, SimHash,
 passage, n-gram), text statistics and training-data sampling/packing,
 embedding ANN/kNN, and the rows-only crawl, image and multimodal
 pipelines (no SQL equivalent; pytest pins them against fixtures and the
-simulator). The rest are aggregates over the fixtures' warehouse tables:
-the ``orders``/``customer`` tables (rollups, joins, anti-joins); a few also
-read the ``events`` user ids.
+simulator).
 
 Float discipline: every float aggregate is converted to fixed-point
 PER ROW (``floor(x*scale + 0.5)`` — identical IEEE double arithmetic in
@@ -45,6 +43,14 @@ def _strip_meta(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None) if t.schema.metadata else t
 
 
+def _arrow_out(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """A pandas map stage's output as an Arrow table of its fixed schema.
+    Ray Data sizes a pandas block's string columns with ``np.vectorize``,
+    which raises on a 0-row frame and logs "Error calculating size";
+    stages whose batches can come out empty emit Arrow blocks instead."""
+    return pa.Table.from_pandas(df, schema=schema, preserve_index=False)
+
+
 def _read(sf_dir: str, name: str, columns: list[str] | None = None) -> rd.Dataset:
     return rd.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns).map_batches(
         _strip_meta, batch_format="pyarrow"
@@ -69,55 +75,12 @@ def _read_dim(sf_dir: str, name: str, columns: list[str]) -> pd.DataFrame:
     return _read(sf_dir, name, columns).to_pandas()
 
 
-def _cents(x: np.ndarray | pd.Series) -> np.ndarray:
-    return np.floor(np.asarray(x, dtype=np.float64) * 100.0 + 0.5).astype(np.int64)
-
-
 def _micros(x: np.ndarray | pd.Series) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) * 1e6 + 0.5).astype(np.int64)
 
 
 def _md5_series(texts: pd.Series) -> pd.Series:
     return texts.fillna("").map(lambda t: hashlib.md5(t.encode("utf-8")).hexdigest())
-
-
-def _in_sorted(arr: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Vectorized membership: for each key, is it present in the SORTED
-    int64 array ``arr``? (searchsorted — the broadcast-filter pattern;
-    replaces per-row Python set lookups.)"""
-    if len(arr) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    idx = np.searchsorted(arr, keys)
-    idx_c = np.clip(idx, 0, len(arr) - 1)
-    return (idx < len(arr)) & (arr[idx_c] == keys)
-
-
-def _lookup_sorted(
-    keys: np.ndarray, vals: np.ndarray, probe: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized inner-join lookup against a SORTED broadcast key
-    array: returns (hit_mask over probe, vals for the hits). Guards the
-    empty-dimension case (an empty customer/supplier table) that a bare
-    ``np.minimum(searchsorted, len-1)`` clamp would turn into an
-    IndexError."""
-    if len(keys) == 0:
-        return np.zeros(len(probe), dtype=bool), vals[:0]
-    idx = np.clip(np.searchsorted(keys, probe), 0, len(keys) - 1)
-    hit = keys[idx] == probe
-    return hit, vals[idx[hit]]
-
-
-def _require_u32(a: np.ndarray, what: str) -> None:
-    """Assert the int64 values fit an unsigned 32-bit slot before a
-    (hi << 32) | lo key fusion. At 10^10-row scale synthetic keys can
-    outgrow 32 bits, and a silent alias would corrupt counts with no
-    error — so the invariant is CHECKED, not assumed (cheap: one
-    vectorized min/max per batch)."""
-    if len(a) and (int(a.min()) < 0 or int(a.max()) >= 1 << 32):
-        raise ValueError(
-            f"{what}: key outside [0, 2^32) — the fused int64 pair key would "
-            "alias distinct pairs; use a two-column groupby at this key width"
-        )
 
 
 def _combine_partials(partials: rd.Dataset, keys: list[str], sums: list[str]) -> rd.Dataset:
@@ -136,312 +99,6 @@ def _combine_partials(partials: rd.Dataset, keys: list[str], sums: list[str]) ->
         return df.groupby(keys, as_index=False).agg(**{c: (c, "sum") for c in sums})
 
     return partials.repartition(1).map_batches(combine, batch_format="pandas", batch_size=None)
-
-
-# --------------------------------------------------------------------------
-# orders / customer aggregates (vectorized agg path)
-# --------------------------------------------------------------------------
-
-
-def top_spenders(sf_dir: str):
-    """Top-10 customers by order value (groupby + sort + limit)."""
-    ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(total_cents=_cents(df["o_totalprice"]))
-        return df.groupby("o_custkey", as_index=False).agg(
-            total_cents=("total_cents", "sum"), n_orders=("total_cents", "size")
-        )
-
-    agg = _combine_partials(
-        ds.map_batches(partial, batch_format="pandas"), ["o_custkey"], ["total_cents", "n_orders"]
-    )
-    df = agg.sort(["total_cents", "o_custkey"], descending=[True, False]).limit(10)
-    return df
-
-
-def priority_by_region(sf_dir: str, wide_customer_rows: int = 5_000_000):
-    """orders ⨝ customer ⨝ nation ⨝ region. nation/region are tiny
-    (25/5 rows) and always broadcast as dense lookup arrays. The
-    customer side dispatches on row count: below ``wide_customer_rows``
-    it is a driver-built broadcast custkey→region array + searchsorted
-    (no shuffle at all); above it, customer routes through the
-    hash-partitioned ``relational.hash_join`` with the groupby partial
-    combined INSIDE the join partition (combiner pushdown) — the driver
-    never materializes the customer table. Forced-wide parity pinned in
-    tests/test_secondary.py."""
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]).to_pandas()
-    region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
-    nat_to_reg_ = np.full(int(nation["n_nationkey"].max()) + 1, -1, dtype=np.int32)
-    nat_to_reg_[nation["n_nationkey"].to_numpy(np.int64)] = nation["n_regionkey"].to_numpy(np.int32)
-    reg_names_ = np.empty(int(region["r_regionkey"].max()) + 1, dtype=object)
-    reg_names_[region["r_regionkey"].to_numpy(np.int64)] = region["r_name"].to_numpy(object)
-
-    cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    if cust_ds.count() >= wide_customer_rows:
-        from .relational import hash_join
-
-        def cust_region(t: pa.Table) -> pa.Table:
-            nk = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "o_custkey": pc.cast(t["c_custkey"], pa.int64()),
-                    "r_code": pa.array(nat_to_reg_[nk], type=pa.int32()),
-                }
-            )
-
-        cust_r = cust_ds.map_batches(cust_region, batch_format="pyarrow")
-
-        def post(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.groupby(["r_code", "o_orderpriority"], as_index=False).agg(
-                n=("o_custkey", "size")
-            )
-            out["r_name"] = reg_names_[out["r_code"].to_numpy(np.int64)]
-            return out[["r_name", "o_orderpriority", "n"]]
-
-        partials = hash_join(orders, cust_r, on="o_custkey", post=post)
-        return _combine_partials(partials, ["r_name", "o_orderpriority"], ["n"])
-
-    cust = cust_ds.to_pandas()
-    ckeys = cust["c_custkey"].to_numpy(np.int64)
-    order = np.argsort(ckeys, kind="stable")
-    ckeys_sorted = ckeys[order]
-    # per-customer region-name CODE (int32 — 5 regions), not a string per row
-    creg_sorted = nat_to_reg_[cust["c_nationkey"].to_numpy(np.int64)][order]
-    ref = ray.put((ckeys_sorted, creg_sorted, reg_names_))
-
-    class _Attach:
-        def __init__(self):
-            self._m = None
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            if self._m is None:
-                self._m = ray.get(ref)
-            keys, regs, names = self._m
-            probe = df["o_custkey"].to_numpy(np.int64)
-            idx = np.searchsorted(keys, probe)
-            idx_c = np.minimum(idx, len(keys) - 1)
-            hit = keys[idx_c] == probe  # inner-join semantics: unmatched
-            df = df[hit]                # custkeys drop, like the oracle
-            df = df.assign(r_name=names[regs[idx_c[hit]]])
-            return df.groupby(["r_name", "o_orderpriority"], as_index=False).agg(
-                n=("o_custkey", "size")
-            )
-
-    partials = orders.map_batches(_Attach(), batch_format="pandas")
-    return _combine_partials(partials, ["r_name", "o_orderpriority"], ["n"])
-
-
-def customers_rfm(sf_dir: str, wide_customer_rows: int = 20_000_000):
-    """RFM segmentation — the classic customer-scoring warehouse op:
-    per customer, Recency (latest order timestamp), Frequency (order
-    count), Monetary (exact order cents), each bucketed into NTILE(4)
-    quartiles WITHIN the customer's nation (segment relative to the
-    local market — and the partition key that keeps the window
-    distributed: nation groups are bounded, so each NTILE completes
-    inside one coarse partition; a global NTILE would need a full sort
-    + prefix-sum rank pass).
-    Orders pre-aggregate per (block, custkey) before the exchange; the
-    customer→nation attachment broadcasts below ``wide_customer_rows``
-    and routes through hash_join above (priority_by_region dispatch).
-    segment = 100·r + 10·f + m, quartile 1 = best. DuckDB tile sizing
-    (first n%4 tiles get the extra row) replayed exactly."""
-    from .relational import hash_join
-
-    cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    n_cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey"]).count()
-
-    def o_partial(df: pd.DataFrame) -> pd.DataFrame:
-        last_us = df["o_orderdate"].astype("datetime64[us]").astype("int64")
-        cents = _cents(df["o_totalprice"])
-        part = pd.DataFrame(
-            {
-                "c_custkey": df["o_custkey"].astype("int64"),
-                "last_us": last_us,
-                "n_orders": np.int64(1),
-                "cents": cents,
-            }
-        )
-        return part.groupby("c_custkey", as_index=False).agg(
-            last_us=("last_us", "max"), n_orders=("n_orders", "sum"), cents=("cents", "sum")
-        )
-
-    partials = _read(
-        sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"]
-    ).map_batches(o_partial, batch_format="pandas")
-
-    if n_cust >= wide_customer_rows:
-        cust_map = cust_ds.map_batches(
-            lambda t: pa.table(
-                {
-                    "c_custkey": pc.cast(t["c_custkey"], pa.int64()),
-                    "c_nationkey": pc.cast(t["c_nationkey"], pa.int32()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        tagged = hash_join(partials, cust_map, on="c_custkey")
-    else:
-        cust = cust_ds.to_pandas()
-        corder = np.argsort(cust["c_custkey"].to_numpy(np.int64), kind="stable")
-        ckeys_sorted = cust["c_custkey"].to_numpy(np.int64)[corder]
-        cnat_sorted = cust["c_nationkey"].to_numpy(np.int64)[corder].astype(np.int32)
-        cust_ref = ray.put((ckeys_sorted, cnat_sorted))
-
-        class _AttachNat:
-            def __init__(self):
-                self._m = None
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                if self._m is None:
-                    self._m = ray.get(cust_ref)
-                keys, nats = self._m
-                probe = df["c_custkey"].to_numpy(np.int64)
-                hit, nat_hit = _lookup_sorted(keys, nats, probe)
-                df = df[hit]
-                return df.assign(c_nationkey=nat_hit)
-
-        tagged = partials.map_batches(_AttachNat(), batch_format="pandas")
-
-    def _ntile4(order_metric: np.ndarray, custkey: np.ndarray) -> np.ndarray:
-        """DuckDB NTILE(4) by (metric DESC, custkey ASC): tile per row
-        in the ORIGINAL row order."""
-        n = len(custkey)
-        pos = np.lexsort((custkey, -order_metric))  # row index by rank
-        i = np.arange(n, dtype=np.int64)
-        big, r = n // 4 + 1, n % 4
-        small = max(n // 4, 1)
-        in_big = i < r * big
-        tile_by_rank = np.where(in_big, i // big, r + (i - r * big) // small) + 1
-        out = np.empty(n, dtype=np.int64)
-        out[pos] = tile_by_rank
-        return out
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("c_custkey", as_index=False).agg(
-            last_us=("last_us", "max"), n_orders=("n_orders", "sum"), cents=("cents", "sum")
-        )
-        ck = agg["c_custkey"].to_numpy(np.int64)
-        r_q = _ntile4(agg["last_us"].to_numpy(np.int64), ck)
-        f_q = _ntile4(agg["n_orders"].to_numpy(np.int64), ck)
-        m_q = _ntile4(agg["cents"].to_numpy(np.int64), ck)
-        return pd.DataFrame(
-            {
-                "c_custkey": ck,
-                "r_q": r_q,
-                "f_q": f_q,
-                "m_q": m_q,
-                "segment": 100 * r_q + 10 * f_q + m_q,
-            }
-        )
-
-    return tagged.groupby("c_nationkey").map_groups(kernel, batch_format="pandas")
-
-
-def customers_without_orders(sf_dir: str, broadcast_below: int = 2_000_000):
-    """Anti-join (SURVEY.md §2.4 A5): broadcast key set below
-    ``broadcast_below`` distinct-side rows, hash-partitioned
-    ``how="anti"`` join above (relational.anti_join_keys — nothing on
-    the driver at 10^9 keys). Forced-wide parity pinned in
-    tests/test_secondary.py."""
-    from .relational import anti_join_keys
-
-    okeys = _read(sf_dir, "orders", ["o_custkey"]).map_batches(
-        lambda t: t.rename_columns(["c_custkey"]), batch_format="pyarrow"
-    )
-    out = anti_join_keys(
-        _read(sf_dir, "customer", ["c_custkey"]), okeys, "c_custkey",
-        broadcast_below=broadcast_below,
-    )
-    # Pin the schema through an empty result: an all-filtered Dataset can
-    # surface as a column-less DataFrame on the driver's to_pandas.
-    df = out.to_pandas()
-    if df.empty:
-        df = pd.DataFrame({"c_custkey": pd.Series([], dtype="int64")})
-    return df
-
-
-def customer_order_counts(sf_dir: str, n_parts: int = 32):
-    """Per-customer order count INCLUDING zero-order customers — the
-    ``how="left"`` hash_join path end-to-end (null-padded misses count
-    as 0; right-side int64 payloads survive via nullable Int64,
-    relational.py). Orders pre-aggregate per custkey inside map_batches
-    (combiner) before the join; all partials of a key co-locate in one
-    partition, so the in-partition post combine is exact and nothing
-    wide leaves the exchange."""
-    from .relational import hash_join
-
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-
-    def opartial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("o_custkey", as_index=False).agg(n_part=("o_custkey", "size"))
-        return out.rename(columns={"o_custkey": "c_custkey"}).astype({"n_part": "int64"})
-
-    orders = _read(sf_dir, "orders", ["o_custkey"]).map_batches(opartial, batch_format="pandas")
-
-    def post(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("c_custkey", as_index=False).agg(n_orders=("n_part", "sum"))
-        g["n_orders"] = g["n_orders"].fillna(0).astype("int64")
-        return g
-
-    return hash_join(cust, orders, on="c_custkey", n_parts=n_parts, how="left", post=post)
-
-
-def orders_with_building_customer(sf_dir: str, n_parts: int = 32):
-    """Orders whose customer is in the BUILDING market segment — the
-    ``how="semi"`` hash_join path end-to-end (Arrow-native
-    per-partition key membership; no pandas in the merge)."""
-    from .relational import hash_join
-
-    bkeys = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
-        lambda t: t.filter(pc.equal(t["c_mktsegment"], "BUILDING"))
-        .select(["c_custkey"])
-        .rename_columns(["o_custkey"]),
-        batch_format="pyarrow",
-    )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    return hash_join(orders, bkeys, on="o_custkey", n_parts=n_parts, how="semi")
-
-
-# --------------------------------------------------------------------------
-# events: anti-join over the event log
-# --------------------------------------------------------------------------
-
-
-def users_first_seen_late(sf_dir: str, broadcast_below: int = 2_000_000):
-    """Users first seen in the second half of the event log — the
-    sitemap snapshot anti-join shape (new = current ∖ previous).
-    Dispatches through relational.anti_join_keys: broadcast early-key
-    set below the threshold, hash-partitioned anti join above (no
-    driver-side key set at 10^9 users). Forced-wide parity pinned in
-    tests/test_secondary.py."""
-    from .relational import anti_join_keys
-
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    bounds = ds.aggregate(Min("ts"))
-    tmin = pd.Timestamp(bounds["min(ts)"])
-    # max via sort would shuffle; a tiny aggregate is fine
-    from ray.data.aggregate import Max
-
-    tmax = pd.Timestamp(ds.aggregate(Max("ts"))["max(ts)"])
-    # whole-microsecond floor division: DuckDB's (tmax-tmin)/2 interval
-    # truncates to us, while pandas /2 keeps half-microsecond precision —
-    # an odd-us span would shift the boundary between the two sides
-    cutoff = tmin + pd.Timedelta(microseconds=(tmax - tmin) // pd.Timedelta(microseconds=1) // 2)
-    # both sides pre-deduped per batch (combiner discipline): the anti
-    # join and the final unique see only per-batch-distinct user rows
-    early = ds.map_batches(
-        lambda df, _c=cutoff: df[df["ts"] < _c][["user_id"]].drop_duplicates(),
-        batch_format="pandas",
-    )
-    late = ds.map_batches(
-        lambda df, _c=cutoff: df[df["ts"] >= _c][["user_id"]].drop_duplicates(),
-        batch_format="pandas",
-    )
-    out = anti_join_keys(late, early, "user_id", broadcast_below=broadcast_below)
-    users = out.unique("user_id") or set()
-    return pa.table({"user_id": pa.array(sorted(int(u) for u in users), type=pa.int64())})
 
 
 # --------------------------------------------------------------------------
@@ -1037,99 +694,6 @@ def doc_bow_dedup(sf_dir: str):
     return joined.map_batches(finish, batch_format="pandas")
 
 
-def customer_event_outer(sf_dir: str):
-    """FULL OUTER hash join: BUILDING-segment customers vs per-user
-    event counts — both sides carry unmatched keys (customers above the
-    user-id range; active users outside the segment). Misses surface as
-    -1 sentinels so the nullable columns hash identically to the SQL
-    oracle's COALESCEs. Exercises ``relational.hash_join(how="outer")``
-    including its null-padded int64 exactness path."""
-    from .relational import hash_join
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"])
-
-    def cust_side(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["c_mktsegment"] == "BUILDING"]
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].to_numpy(np.int64),
-                "acctbal_cents": _cents(df["c_acctbal"]),
-            }
-        )
-
-    ev = _read(sf_dir, "events", ["user_id"])
-
-    def ev_partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df["user_id"].value_counts()
-        return pd.DataFrame({"key": vc.index.to_numpy(np.int64), "n_events": vc.to_numpy(np.int64)})
-
-    counts = _combine_partials(
-        ev.map_batches(ev_partial, batch_format="pandas"), ["key"], ["n_events"]
-    )
-    joined = hash_join(
-        cust.map_batches(cust_side, batch_format="pandas"), counts, on="key", how="outer"
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].astype("Int64").fillna(-1).to_numpy(np.int64),
-                "acctbal_cents": df["acctbal_cents"].astype("Int64").fillna(-1).to_numpy(np.int64),
-                "n_events": df["n_events"].astype("Int64").fillna(-1).to_numpy(np.int64),
-            }
-        )
-
-    return joined.map_batches(finish, batch_format="pandas")
-
-
-def _orders_pri_status_base(sf_dir: str) -> rd.Dataset:
-    """Per-block (priority, status) count + fixed-point-cents partials
-    with the tiny combine — the shared base of orders_rollup /
-    orders_cube / orders_pivot. NULL-keyed rows drop on both sides
-    (pandas groupby dropna here; WHERE ... IS NOT NULL in the oracles —
-    COALESCE's 'ALL' rendering would collide with the subtotal rows)."""
-    ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderstatus", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(cents=_cents(df["o_totalprice"]))
-        return df.groupby(["o_orderpriority", "o_orderstatus"], as_index=False).agg(
-            n=("cents", "size"), total_cents=("cents", "sum")
-        )
-
-    return _combine_partials(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["o_orderpriority", "o_orderstatus"],
-        ["n", "total_cents"],
-    )
-
-
-def orders_rollup(sf_dir: str):
-    """GROUP BY ROLLUP(o_orderpriority, o_orderstatus): subtotal rows at
-    (priority, status), (priority, ALL) and (ALL, ALL) — the grouping-
-    sets surface. One map-side partial pass over orders; the rollup
-    expansion runs on the combined partial table (≤ priorities×statuses
-    rows), so no extra pass touches the fact table."""
-    base = _orders_pri_status_base(sf_dir)
-
-    def rollup(df: pd.DataFrame) -> pd.DataFrame:
-        lvl1 = df.groupby("o_orderpriority", as_index=False).agg(
-            n=("n", "sum"), total_cents=("total_cents", "sum")
-        )
-        lvl1["o_orderstatus"] = "ALL"
-        lvl0 = pd.DataFrame(
-            {
-                "o_orderpriority": ["ALL"],
-                "o_orderstatus": ["ALL"],
-                "n": [df["n"].sum()],
-                "total_cents": [df["total_cents"].sum()],
-            }
-        )
-        cols = ["o_orderpriority", "o_orderstatus", "n", "total_cents"]
-        return pd.concat([df[cols], lvl1[cols], lvl0[cols]], ignore_index=True)
-
-    return base.map_batches(rollup, batch_format="pandas", batch_size=None)
-
-
 # --------------------------------------------------------------------------
 # non-SQL operators (rows-only driver check; exact semantics pinned by
 # pytest against small fixtures)
@@ -1198,13 +762,16 @@ def doc_minhash_eval(sf_dir: str, wide_doc_rows: int | None = None):
         _n_parts_default,
         _pairs_from_bands,
     )
+    import pyarrow.parquet as pq
 
     num_perm = 128
     bands = _derive_bands(num_perm, MINHASH_EVAL_TAU)
     ds = _read(sf_dir, "documents", ["doc_id", "source", "text"])
     docs = ds.select_columns(["doc_id", "text"])
-    # footer-metadata count — not .count() on the mapped lineage
-    n_docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"]).count()
+    # footer-metadata count — not .count() on the mapped lineage, and no
+    # unstripped Ray read of the fixture (its pandas schema metadata
+    # makes Ray Data log "Failed to hash the schemas")
+    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     wide_at = wide_doc_rows if wide_doc_rows is not None else WIDE_DOC_ROWS
 
     bands_ds = docs.map_batches(
@@ -1392,133 +959,6 @@ def doc_pack_windows(sf_dir: str):
     return pack_windows(ds, capacity=512)
 
 
-def customers_in_events_bloom(sf_dir: str):
-    """Bloom-filter membership probe: build a 4 KB Bloom filter over
-    the distinct events.user_id set (functions/sketch.bloom_partial —
-    per-batch sorted unique set-bit rows, distinct-merged by a tiny
-    groupby; only bit indices ever shuffle, never keys), broadcast the
-    dense bitset once with ray.put, then probe every customer key
-    map_batches-side with zero further exchanges. The exact-membership
-    column comes from a hash-partitioned left join against the distinct
-    user set (relational.hash_join — no driver-side key set), so the
-    one-sided guarantee actual=1 ⇒ bloom_hit=1 is verifiable row by
-    row, and the oracle replays every bit position in SQL. This is the
-    scale shape for decontamination probes: the reference's seen-set
-    checks (search_gov_crawler dedup semantics) done at 10^10 probes
-    against a reference set that never leaves its partitions."""
-    from ..functions.sketch import bloom_partial, bloom_query
-    from .relational import hash_join
-
-    ev = _read(sf_dir, "events", ["user_id"])
-
-    def bits_kernel(t: pa.Table) -> pa.Table:
-        uid = pc.cast(t["user_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({"bit": pa.array(bloom_partial(uid))})
-
-    bit_rows = (
-        ev.map_batches(bits_kernel, batch_format="pyarrow")
-        .groupby("bit")
-        .count()
-        .to_pandas()
-    )
-    bits_sorted = np.sort(bit_rows["bit"].to_numpy(np.int64))
-    bits_ref = ray.put(bits_sorted)
-
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-
-    def probe(t: pa.Table) -> pa.Table:
-        keys = pc.cast(t["c_custkey"], pa.int64()).to_numpy(zero_copy_only=False)
-        hit = bloom_query(ray.get(bits_ref), keys)
-        return pa.table(
-            {
-                "c_custkey": pa.array(keys),
-                "bloom_hit": pa.array(hit.astype(np.int64)),
-            }
-        )
-
-    probed = cust.map_batches(probe, batch_format="pyarrow")
-
-    def uid_distinct(t: pa.Table) -> pa.Table:
-        uid = np.unique(
-            pc.cast(t["user_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        )
-        return pa.table(
-            {
-                "c_custkey": pa.array(uid),
-                "present": pa.array(np.ones(len(uid), dtype=np.int64)),
-            }
-        )
-
-    uids = (
-        ev.map_batches(uid_distinct, batch_format="pyarrow")
-        .groupby("c_custkey")
-        .max("present")
-    ).map_batches(
-        lambda df: df.rename(columns={"max(present)": "present"}),
-        batch_format="pandas",
-    )
-
-    def mark(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["actual"] = df["present"].fillna(0).astype(np.int64)
-        return df[["c_custkey", "bloom_hit", "actual"]]
-
-    return hash_join(probed, uids, on="c_custkey", how="left", post=mark)
-
-
-def orders_events_key_overlap(sf_dir: str):
-    """Distinct-key set algebra between two fact tables: how many
-    distinct order custkeys are also event user ids (INTERSECT), and
-    the two set differences (EXCEPT both ways) — one row of counts.
-    Shape: per-batch unique keys with a side bitmask, ONE hash-shuffle
-    groupby-max to merge masks, then associative count partials. No
-    driver-side key set, no sort — the same plan covers two 10^10-key
-    tables."""
-    from ray.data.aggregate import Sum
-
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-    events = _read(sf_dir, "events", ["user_id"])
-
-    def tag(col: str, m1: int, m2: int):
-        def kernel(t: pa.Table) -> pa.Table:
-            k = np.unique(pc.cast(t[col], pa.int64()).to_numpy(zero_copy_only=False))
-            return pa.table(
-                {
-                    "key": pa.array(k),
-                    "m1": pa.array(np.full(len(k), m1, dtype=np.int64)),
-                    "m2": pa.array(np.full(len(k), m2, dtype=np.int64)),
-                }
-            )
-
-        return kernel
-
-    tagged = orders.map_batches(tag("o_custkey", 1, 0), batch_format="pyarrow").union(
-        events.map_batches(tag("user_id", 0, 1), batch_format="pyarrow")
-    )
-    merged = tagged.groupby("key").max(["m1", "m2"])
-
-    def counts(df: pd.DataFrame) -> pd.DataFrame:
-        a = df["max(m1)"].to_numpy(np.int64)
-        b = df["max(m2)"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "n_orders_only": [int(((a == 1) & (b == 0)).sum())],
-                "n_events_only": [int(((a == 0) & (b == 1)).sum())],
-                "n_both": [int(((a == 1) & (b == 1)).sum())],
-            }
-        )
-
-    out = (
-        merged.map_batches(counts, batch_format="pandas")
-        .aggregate(
-            Sum("n_orders_only", alias_name="n_orders_only"),
-            Sum("n_events_only", alias_name="n_events_only"),
-            Sum("n_both", alias_name="n_both"),
-        )
-    )
-    return pd.DataFrame([out])
-
-
 def embedding_cluster_assign(sf_dir: str):
     """Semantic bucketing: assign every embedding to the nearest of 8
     fixed centroids (the vectors with vec_id < 8) by cosine — the
@@ -1531,34 +971,6 @@ def embedding_cluster_assign(sf_dir: str):
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return centroid_assign(ds, centroid_ids=list(range(8)))
-
-
-def orders_monthly_growth(sf_dir: str):
-    """Month-over-month revenue with LAG delta: per-batch (month,
-    cents-sum, count) partials, one tiny groupby-sum (#months rows),
-    then the window diff driver-side — the time-series-growth shape
-    with integer cents end to end. First month's delta is 0 (LAG
-    coalesced to itself), matching the SQL oracle."""
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        month = df["o_orderdate"].dt.strftime("%Y-%m")
-        return (
-            pd.DataFrame({"month": month, "revenue_cents": _cents(df["o_totalprice"])})
-            .groupby("month", as_index=False)
-            .agg(revenue_cents=("revenue_cents", "sum"), n_orders=("revenue_cents", "size"))
-        )
-
-    months = _combine_partials(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["month"],
-        ["revenue_cents", "n_orders"],
-    ).to_pandas()
-    months = months.sort_values("month").reset_index(drop=True)
-    rev = months["revenue_cents"].to_numpy(np.int64)
-    months["delta_cents"] = rev - np.concatenate([rev[:1], rev[:-1]])
-    months["n_orders"] = months["n_orders"].astype(np.int64)
-    return months[["month", "revenue_cents", "n_orders", "delta_cents"]]
 
 
 def doc_global_shuffle(sf_dir: str):
@@ -1865,91 +1277,6 @@ def doc_char_entropy(sf_dir: str):
     return ds.map_batches(kernel, batch_format="pandas")
 
 
-def customers_pareto_80(sf_dir: str):
-    """Pareto coverage: the smallest revenue-ranked prefix of customers
-    whose cumulative revenue reaches 80% of the total — the
-    heavy-account analysis that needs a GLOBAL ordered prefix sum, done
-    without a global sort: revenue is exact int64 cents, partitioned by
-    a coarse revenue BUCKET (disjoint value ranges ⇒ bucket order IS
-    global order), pass 1 streams per-bucket totals to an O(P) driver
-    cumsum from the top, pass 2 sorts only within each bucket and
-    applies the broadcast exclusive offset. The 80% cut is the integer
-    predicate 5·(cum − rev) < 4·total — no float thresholds."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    BUCKET = 1 << 20  # ~$10k of cents per bucket: P stays tiny at any sf
-
-    def rev_partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = np.floor(df["o_totalprice"].to_numpy(np.float64) * 100 + 0.5).astype(
-            np.int64
-        )
-        g = pd.DataFrame({"c_custkey": df["o_custkey"].astype(np.int64), "rev": cents})
-        return g.groupby("c_custkey", as_index=False).sum()
-
-    def add_cust_part(df: pd.DataFrame) -> pd.DataFrame:
-        from ..functions.simdedup import hash_part
-
-        df = df.copy()
-        df["part"] = hash_part(df["c_custkey"].to_numpy(np.int64), 64)
-        return df
-
-    def cust_totals(g: pd.DataFrame) -> pd.DataFrame:
-        # 64 coarse partitions on the wire (not one group per customer);
-        # the vectorized in-partition groupby does the per-key work
-        out = g.groupby("c_custkey", as_index=False)["rev"].sum()
-        return pd.DataFrame(
-            {
-                "c_custkey": out["c_custkey"].astype(np.int64),
-                "rev_cents": out["rev"].astype(np.int64),
-                "p": (out["rev"].astype(np.int64) // BUCKET),
-            }
-        )
-
-    rev = (
-        orders.map_batches(rev_partial, batch_format="pandas")
-        .map_batches(add_cust_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(cust_totals, batch_format="pandas")
-        .materialize()  # narrow (custkey, rev, bucket): consumed twice
-    )
-
-    partials = (
-        rev.map_batches(
-            lambda df: df.groupby("p", as_index=False).agg(
-                bt=("rev_cents", "sum"), bn=("rev_cents", "size")
-            ),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .groupby("p", sort=True)
-        .sum()
-        .sort_index(ascending=False)  # top bucket first
-    )
-    total = int(partials["bt"].sum())
-    offsets = partials["bt"].cumsum() - partials["bt"]  # exclusive, from the top
-    off_ref = ray.put(
-        (offsets.index.to_numpy(np.int64), offsets.to_numpy(np.int64), total)
-    )
-
-    def cut(group: pd.DataFrame) -> pd.DataFrame:
-        keys, vals, tot = ray.get(off_ref)
-        g = group.sort_values(
-            ["rev_cents", "c_custkey"], ascending=[False, True], kind="mergesort"
-        )
-        r = g["rev_cents"].to_numpy(np.int64)
-        # descending bucket keys: find this bucket's exclusive offset
-        idx = np.flatnonzero(keys == int(g["p"].iloc[0]))[0]
-        cum = vals[idx] + np.cumsum(r)
-        keep = 5 * (cum - r) < 4 * tot
-        return pd.DataFrame(
-            {
-                "c_custkey": g["c_custkey"].to_numpy(np.int64)[keep],
-                "rev_cents": r[keep],
-            }
-        )
-
-    return rev.groupby("p").map_groups(cut, batch_format="pandas")
-
-
 def embedding_quantize_int8(sf_dir: str):
     """Per-dimension min/max int8 quantization of the embedding matrix
     — the compression step in front of every vector store. Pass 1
@@ -2003,96 +1330,6 @@ def embedding_quantize_int8(sf_dir: str):
         )
 
     return ds.map_batches(quant, batch_format="pyarrow")
-
-
-BASKET_TOPK = 50
-
-
-def orders_basket_affinity(sf_dir: str, k: int = BASKET_TOPK):
-    """Market-basket pair mining: the top-k part pairs by co-occurrence
-    support across orders (the affinity / frequent-itemset-2 shape).
-    Per-order pair expansion is bounded by lines-per-order² (≤7 lines
-    in this schema), runs inside a coarse 64-way orderkey partition
-    (lines of one order co-locate), and each partition emits PARTIAL
-    pair counts; a second coarse partition keyed on the fused pair
-    completes each pair's global count and emits only its local top-k,
-    so the driver merges ≤ 64·k rows. Ties break (support desc, p1,
-    p2) — fully deterministic."""
-    from ..functions.simdedup import hash_part
-
-    def lp_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame(
-            {
-                "o": df["l_orderkey"].to_numpy(np.int64),
-                "p": df["l_partkey"].to_numpy(np.int64),
-            }
-        ).drop_duplicates()
-        g["part"] = hash_part(g["o"].to_numpy(np.int64), 64).astype(np.int64)
-        return g
-
-    def pairs_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[["o", "p"]].drop_duplicates().sort_values(["o", "p"], kind="mergesort")
-        o = g["o"].to_numpy(np.int64)
-        p = g["p"].to_numpy(np.int64)
-        new = np.empty(len(o), dtype=bool)
-        if len(o) == 0:
-            return pd.DataFrame({"pair": pd.Series([], dtype="int64"), "n": pd.Series([], dtype="int64")})
-        new[0] = True
-        new[1:] = o[1:] != o[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.append(starts, len(o)))
-        # vectorized upper-triangle expansion per order
-        n_pairs = sizes * (sizes - 1) // 2
-        # i index within group for each row
-        i_in = np.arange(len(o)) - np.repeat(starts, sizes)
-        # first element of each pair: row r repeats (size - 1 - i_in[r]) times
-        left_rep = (np.repeat(sizes, sizes) - 1 - i_in).clip(min=0)
-        li = np.repeat(np.arange(len(o)), left_rep)
-        # second element: consecutive offsets after each left row
-        off = np.arange(int(left_rep.sum())) - np.repeat(
-            np.cumsum(left_rep) - left_rep, left_rep
-        )
-        ri = li + 1 + off
-        _require_u32(p, "orders_basket_affinity partkey fusion")
-        pair = (p[li] << np.int64(32)) | p[ri]
-        cnt = pd.DataFrame({"pair": pair})
-        out = cnt.groupby("pair", as_index=False).agg(n=("pair", "size"))
-        # reconcile expanded pair count against the closed form
-        assert int(out["n"].sum()) == int(n_pairs.sum())
-        return out
-
-    def topk_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("pair", as_index=False).agg(n=("n", "sum"))
-        tot = tot.sort_values(["n", "pair"], ascending=[False, True], kind="mergesort")
-        return tot.head(k)
-
-    def add_pair_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = hash_part(df["pair"].to_numpy(np.int64), 64).astype(np.int64)
-        return df
-
-    parts = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(lp_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(
-            lambda g: pairs_kernel(g), batch_format="pandas"
-        )
-        .map_batches(add_pair_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(topk_kernel, batch_format="pandas")
-        .to_pandas()
-    )
-    tot = parts.groupby("pair", as_index=False).agg(n=("n", "sum"))
-    tot = tot.sort_values(["n", "pair"], ascending=[False, True], kind="mergesort").head(k)
-    pair = tot["pair"].to_numpy(np.int64)
-    return pd.DataFrame(
-        {
-            "p1": (pair >> np.int64(32)).astype(np.int64),
-            "p2": (pair & np.int64((1 << 32) - 1)).astype(np.int64),
-            "support": tot["n"].to_numpy(np.int64),
-        }
-    )
 
 
 def embedding_knn_classify(
@@ -2833,110 +2070,6 @@ def doc_lang_confusion(sf_dir: str):
             {
                 "lang": df["lang"],
                 "lang_pred": df["lang_pred"].replace("", None),
-                "n": df["sum(n)"].astype(np.int64),
-            }
-        )
-
-    return res.map_batches(finish, batch_format="pandas")
-
-
-def orders_fulfillment_days(sf_dir: str):
-    """Order-fulfillment latency histogram: whole days from order date
-    to the LAST line shipment, counted per day bucket — the operations
-    metric joining the two fact tables. lineitem pre-aggregates
-    max(shipdate) per order inside each batch, so the orderkey groupby
-    and the hash_join against orders are both bounded by the order
-    count; the day histogram is a final tiny exchange. Pure integer
-    date math (µs // 86400e6)."""
-    from .relational import hash_join
-
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-    DAY = 86_400_000_000
-
-    def ship_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame(
-            {
-                "o_orderkey": df["l_orderkey"].astype(np.int64),
-                "ship": df["l_shipdate"].astype("datetime64[us]").astype("int64"),
-            }
-        )
-        return g.groupby("o_orderkey", as_index=False).max()
-
-    ship = (
-        li.map_batches(ship_partial, batch_format="pandas")
-        .groupby("o_orderkey")
-        .max("ship")
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {
-                    "o_orderkey": df["o_orderkey"].astype(np.int64),
-                    "ship": df["max(ship)"].astype(np.int64),
-                }
-            ),
-            batch_format="pandas",
-        )
-    )
-
-    def days(df: pd.DataFrame) -> pd.DataFrame:
-        od = df["o_orderdate"].astype("datetime64[us]").astype("int64").to_numpy()
-        d = (df["ship"].to_numpy(np.int64) - od) // DAY
-        out = pd.DataFrame({"days": d})
-        return out.groupby("days", as_index=False).size().rename(columns={"size": "n"})
-
-    res = (
-        hash_join(ship, orders, on="o_orderkey", how="inner", post=days)
-        .groupby("days")
-        .sum("n")
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"days": df["days"].astype(np.int64), "n_orders": df["sum(n)"].astype(np.int64)}
-        )
-
-    return res.map_batches(finish, batch_format="pandas")
-
-
-def orders_duplicate_payments(sf_dir: str):
-    """Duplicate-payment detection: (customer, exact cent amount)
-    groups appearing more than once — the fraud/QA dedup over a fact
-    table. Per-batch pre-count partials, one (custkey, cents)-bounded
-    exchange, exact integers throughout. The synthetic orders carry no
-    natural duplicates, so every o_orderkey % 100 == 0 row is planted
-    a second time on BOTH sides (the part_name_fuzzy_pairs fixture
-    discipline) — the detector has real positives to find."""
-    ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        dup = df[df["o_orderkey"].astype(np.int64) % 100 == 0]
-        df = pd.concat([df, dup], ignore_index=True)
-        g = pd.DataFrame(
-            {
-                "o_custkey": df["o_custkey"].astype(np.int64),
-                "cents": np.floor(
-                    df["o_totalprice"].to_numpy(np.float64) * 100 + 0.5
-                ).astype(np.int64),
-            }
-        )
-        return (
-            g.groupby(["o_custkey", "cents"], as_index=False)
-            .size()
-            .rename(columns={"size": "n"})
-        )
-
-    res = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["o_custkey", "cents"])
-        .sum("n")
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["sum(n)"] > 1]
-        return pd.DataFrame(
-            {
-                "o_custkey": df["o_custkey"].astype(np.int64),
-                "cents": df["cents"].astype(np.int64),
                 "n": df["sum(n)"].astype(np.int64),
             }
         )
@@ -3868,6 +3001,11 @@ def caption_token_stats(sf_dir: str):
 CURATION_MIN_SIDE = 24       # LAION-style min-side gate, scaled to the
                              # synthetic corpus' 16..48 px side range
 CURATION_MIN_CAP_TOKENS = 3  # drop empty/near-empty captions
+# gated image rows (image_curation_pipeline; image_training_manifest
+# adds align_dot)
+_CURATION_SCHEMA = pa.schema(
+    [("image_id", pa.string())] + [(c, pa.int64()) for c in ("w", "h", "cap_tokens", "phash")]
+)
 
 
 def image_curation_pipeline(sf_dir: str):
@@ -3890,7 +3028,7 @@ def image_curation_pipeline(sf_dir: str):
         columns=["image_id", "w", "h", "caption", "phash"],
     )
 
-    def gate(df: pd.DataFrame) -> pd.DataFrame:
+    def gate(df: pd.DataFrame) -> pa.Table:
         w = df["w"].to_numpy(np.int64)
         h = df["h"].to_numpy(np.int64)
         mn, mx = np.minimum(w, h), np.maximum(w, h)
@@ -3900,14 +3038,15 @@ def image_curation_pipeline(sf_dir: str):
         keep = (mn >= CURATION_MIN_SIDE) & (2 * mn >= mx) & (
             cap_tokens >= CURATION_MIN_CAP_TOKENS
         )
-        return pd.DataFrame(
+        return pa.table(
             {
                 "image_id": df["image_id"].to_numpy(dtype=object)[keep],
                 "w": w[keep],
                 "h": h[keep],
                 "cap_tokens": cap_tokens[keep],
                 "phash": df["phash"].to_numpy(np.int64)[keep],
-            }
+            },
+            schema=_CURATION_SCHEMA,
         )
 
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
@@ -3990,6 +3129,7 @@ def image_caption_alignment(sf_dir: str):
 
 
 MANIFEST_SHARDS = 8
+_GATES_SCHEMA = _CURATION_SCHEMA.append(pa.field("align_dot", pa.int64()))
 
 
 def image_training_manifest(sf_dir: str):
@@ -4015,7 +3155,7 @@ def image_training_manifest(sf_dir: str):
     )
     shifts = np.arange(64, dtype=np.uint64)
 
-    def gates(df: pd.DataFrame) -> pd.DataFrame:
+    def gates(df: pd.DataFrame) -> pa.Table:
         w = df["w"].to_numpy(np.int64)
         h = df["h"].to_numpy(np.int64)
         mn, mx = np.minimum(w, h), np.maximum(w, h)
@@ -4026,16 +3166,7 @@ def image_training_manifest(sf_dir: str):
         )
         df = df[keep]
         if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "image_id": pd.Series([], dtype=object),
-                    "w": pd.Series([], dtype="int64"),
-                    "h": pd.Series([], dtype="int64"),
-                    "cap_tokens": pd.Series([], dtype="int64"),
-                    "phash": pd.Series([], dtype="int64"),
-                    "align_dot": pd.Series([], dtype="int64"),
-                }
-            )
+            return _GATES_SCHEMA.empty_table()
         # alignment gate (same arithmetic as image_caption_alignment)
         ph = df["phash"].to_numpy(np.int64).view(np.uint64)
         img_pm = (
@@ -4061,7 +3192,7 @@ def image_training_manifest(sf_dir: str):
         cap_tokens = (
             df["caption"].fillna("").str.count(r"[^ \t\n\r\f\v]+").to_numpy(np.int64)
         )
-        return pd.DataFrame(
+        return pa.table(
             {
                 "image_id": df["image_id"].to_numpy(dtype=object)[aligned],
                 "w": w[aligned],
@@ -4069,7 +3200,8 @@ def image_training_manifest(sf_dir: str):
                 "cap_tokens": cap_tokens[aligned],
                 "phash": df["phash"].to_numpy(np.int64)[aligned],
                 "align_dot": dot.astype(np.int64)[aligned],
-            }
+            },
+            schema=_GATES_SCHEMA,
         )
 
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
@@ -4140,6 +3272,16 @@ def _hamming_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 _HAMMING_EMPTY_COLS = ("query_id", "rank", "neighbor_id", "hamming")
+_QUERY_IMAGE_SCHEMA = pa.schema([("image_id", pa.string()), ("phash", pa.int64())])
+# banded join rows, and its candidate pairs + per-query marker rows
+_BAND_ROW_SCHEMA = pa.schema(
+    [("band_key", pa.int64()), ("image_id", pa.string())]
+    + [(c, pa.int64()) for c in ("phash", "is_q", "part")]
+)
+_CANDIDATE_SCHEMA = pa.schema(
+    [("query_id", pa.string()), ("neighbor_id", pa.string())]
+    + [(c, pa.int64()) for c in ("hamming", "q_ph")]
+)
 
 
 def _hamming_empty() -> pd.DataFrame:
@@ -4256,9 +3398,9 @@ def image_hamming_topk(
     cdir = _crawl_corpus_dir()
     ds = rd.read_parquet(cdir + "/corpus_images.parquet", columns=["image_id", "phash"])
 
-    def pick_queries(df: pd.DataFrame) -> pd.DataFrame:
+    def pick_queries(df: pd.DataFrame) -> pa.Table:
         h = xxhash64_array(df["image_id"].tolist())
-        return df[(h % np.uint64(query_mod)) == 0]
+        return _arrow_out(df[(h % np.uint64(query_mod)) == 0], _QUERY_IMAGE_SCHEMA)
 
     qdf = ds.map_batches(pick_queries, batch_format="pandas").to_pandas()
     if len(qdf) == 0:
@@ -4403,7 +3545,7 @@ def image_hamming_topk_banded(
         ish = (idx < len(hk)) & (hk[idxc] == bk)
         return np.where(ish, hv[idxc], 1)
 
-    def explode(df: pd.DataFrame, is_q: int) -> pd.DataFrame:
+    def explode(df: pd.DataFrame, is_q: int) -> pa.Table:
         ph = df["phash"].to_numpy(np.int64).view(np.uint64)
         ids = df["image_id"].to_numpy(dtype=object)
         bands = _phash_bands(ph)  # (n, 4)
@@ -4426,21 +3568,21 @@ def image_hamming_topk_banded(
             rh = np.repeat(xxhash64_array(df["image_id"].tolist()), 4)
             salt = (rh % ns.astype(np.uint64)).astype(np.int64)
             bk = np.where(ns > 1, bk | ((salt + 1) << 18), bk)
-        out = pd.DataFrame(
+        return pa.table(
             {
                 "band_key": bk,
                 "image_id": ids4,
                 "phash": ph4,
                 "is_q": np.full(len(bk), is_q, dtype=np.int64),
-            }
+                "part": hash_part(bk, 64).astype(np.int64),
+            },
+            schema=_BAND_ROW_SCHEMA,
         )
-        out["part"] = hash_part(out["band_key"].to_numpy(np.int64), 64).astype(np.int64)
-        return out
 
-    def explode_corpus(df: pd.DataFrame) -> pd.DataFrame:
+    def explode_corpus(df: pd.DataFrame) -> pa.Table:
         return explode(df, 0)
 
-    def explode_queries(df: pd.DataFrame) -> pd.DataFrame:
+    def explode_queries(df: pd.DataFrame) -> pa.Table:
         h = xxhash64_array(df["image_id"].tolist())
         return explode(df[(h % np.uint64(query_mod)) == 0], 1)
 
@@ -4471,17 +3613,10 @@ def image_hamming_topk_banded(
             }
         )
 
-    def collide(g: pd.DataFrame) -> pd.DataFrame:
+    def collide(g: pd.DataFrame) -> pa.Table:
         q = g[g["is_q"] == 1][["band_key", "image_id", "phash"]]
         c = g[g["is_q"] == 0][["band_key", "image_id", "phash"]]
-        empty = pd.DataFrame(
-            {
-                "query_id": pd.Series([], dtype=object),
-                "neighbor_id": pd.Series([], dtype=object),
-                "hamming": pd.Series([], dtype="int64"),
-                "q_ph": pd.Series([], dtype="int64"),
-            }
-        )
+        empty = _CANDIDATE_SCHEMA.empty_table()
         if len(q) == 0 or len(c) == 0:
             return empty
         # HOT-BAND GUARD: a degenerate band value (flat-image pHash
@@ -4500,8 +3635,10 @@ def image_hamming_topk_banded(
         per_key = (qn[common] * cn[common]).sort_index()
         if int(per_key.sum()) <= pair_budget:
             m = q.merge(c, on="band_key", suffixes=("_q", "_c"))
-            out = score_pairs(m) if len(m) else empty
-            return out.drop_duplicates(["query_id", "neighbor_id"])
+            if len(m) == 0:
+                return empty
+            out = score_pairs(m).drop_duplicates(["query_id", "neighbor_id"])
+            return _arrow_out(out, _CANDIDATE_SCHEMA)
         parts: list[pd.DataFrame] = []
         q = q.sort_values("band_key", kind="mergesort")
         c = c.sort_values("band_key", kind="mergesort")
@@ -4542,22 +3679,22 @@ def image_hamming_topk_banded(
         flush_keys()
         if not parts:
             return empty
-        return pd.concat(parts, ignore_index=True).drop_duplicates(
-            ["query_id", "neighbor_id"]
-        )
+        out = pd.concat(parts, ignore_index=True).drop_duplicates(["query_id", "neighbor_id"])
+        return _arrow_out(out, _CANDIDATE_SCHEMA)
 
     pairs = both.groupby("part").map_groups(collide, batch_format="pandas")
 
-    def markers(df: pd.DataFrame) -> pd.DataFrame:
+    def markers(df: pd.DataFrame) -> pa.Table:
         h = xxhash64_array(df["image_id"].tolist())
         sel = df[(h % np.uint64(query_mod)) == 0]
-        return pd.DataFrame(
+        return pa.table(
             {
                 "query_id": sel["image_id"].to_numpy(dtype=object),
                 "neighbor_id": np.full(len(sel), "", dtype=object),
                 "hamming": np.full(len(sel), -1, dtype=np.int64),
                 "q_ph": sel["phash"].to_numpy(np.int64),
-            }
+            },
+            schema=_CANDIDATE_SCHEMA,
         )
 
     stream = pairs.union(ds.map_batches(markers, batch_format="pandas"))
@@ -4847,40 +3984,8 @@ def image_dedup_keep_best(sf_dir: str):
 
 
 # --------------------------------------------------------------------------
-# grouping sets, histograms, quantiles, pivots
+# histograms and quantiles
 # --------------------------------------------------------------------------
-
-
-def orders_cube(sf_dir: str):
-    """GROUP BY CUBE(o_orderpriority, o_orderstatus): all four grouping
-    sets. Same partial-aggregate base as orders_rollup — the cube
-    expansion runs on the combined partial table (≤ priorities×statuses
-    rows), never re-touching the fact table."""
-    base = _orders_pri_status_base(sf_dir)
-
-    def cube(df: pd.DataFrame) -> pd.DataFrame:
-        cols = ["o_orderpriority", "o_orderstatus", "n", "total_cents"]
-        by_pri = df.groupby("o_orderpriority", as_index=False).agg(
-            n=("n", "sum"), total_cents=("total_cents", "sum")
-        )
-        by_pri["o_orderstatus"] = "ALL"
-        by_sta = df.groupby("o_orderstatus", as_index=False).agg(
-            n=("n", "sum"), total_cents=("total_cents", "sum")
-        )
-        by_sta["o_orderpriority"] = "ALL"
-        grand = pd.DataFrame(
-            {
-                "o_orderpriority": ["ALL"],
-                "o_orderstatus": ["ALL"],
-                "n": [df["n"].sum()],
-                "total_cents": [df["total_cents"].sum()],
-            }
-        )
-        return pd.concat(
-            [df[cols], by_pri[cols], by_sta[cols], grand[cols]], ignore_index=True
-        )
-
-    return base.map_batches(cube, batch_format="pandas", batch_size=None)
 
 
 def doc_length_histogram(sf_dir: str):
@@ -4947,75 +4052,6 @@ def lang_length_quantiles(sf_dir: str):
         )
 
     return combined.repartition(1).map_batches(pcts, batch_format="pandas", batch_size=None)
-
-
-def orders_above_cust_avg(sf_dir: str):
-    """Correlated-subquery decorrelation: orders strictly above their
-    own customer's average order value. One partial pass builds
-    per-customer (n, total_cents); the filter re-joins it per batch via
-    a broadcast sorted lookup (upgrade path at 10^9 customers:
-    relational.hash_join, same discipline as priority_by_region). The
-    comparison is EXACT — cross-multiplied integers (cents*n > total),
-    no float average on either side."""
-    ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(cents=_cents(df["o_totalprice"]))
-        return df.groupby("o_custkey", as_index=False).agg(
-            n=("cents", "size"), total_cents=("cents", "sum")
-        )
-
-    stats = (
-        _combine_partials(
-            ds.map_batches(partial, batch_format="pandas"), ["o_custkey"], ["n", "total_cents"]
-        )
-        .to_pandas()
-        .sort_values("o_custkey")
-    )
-    keys = stats["o_custkey"].to_numpy(np.int64)
-    ref = ray.put(
-        (keys, stats["n"].to_numpy(np.int64), stats["total_cents"].to_numpy(np.int64))
-    )
-
-    class _Filter:
-        def __init__(self):
-            self._k = None
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            if self._k is None:
-                self._k = ray.get(ref)
-            k, n, tot = self._k
-            cents = _cents(df["o_totalprice"])
-            pos = np.searchsorted(k, df["o_custkey"].to_numpy(np.int64))
-            keep = cents * n[pos] > tot[pos]  # exact: cents > total/n
-            out = df.loc[keep, ["o_orderkey", "o_custkey"]].copy()
-            out["cents"] = cents[keep]
-            return out
-
-    return ds.map_batches(_Filter(), batch_format="pandas")
-
-
-def orders_pivot(sf_dir: str):
-    """Cross-tab / PIVOT: order counts and fixed-point revenue per
-    priority (rows) × status (fixed columns F/O/P). One partial pass
-    over the fact table; the pivot reshape runs on the tiny combined
-    partial table."""
-    base = _orders_pri_status_base(sf_dir)
-
-    def pivot(df: pd.DataFrame) -> pd.DataFrame:
-        out = {"o_orderpriority": sorted(df["o_orderpriority"].unique())}
-        idx = pd.Index(out["o_orderpriority"])
-        for status in ("F", "O", "P"):
-            sub = df[df["o_orderstatus"] == status].set_index("o_orderpriority")
-            out[f"n_{status}"] = (
-                sub["n"].reindex(idx).fillna(0).astype(np.int64).to_numpy()
-            )
-            out[f"cents_{status}"] = (
-                sub["total_cents"].reindex(idx).fillna(0).astype(np.int64).to_numpy()
-            )
-        return pd.DataFrame(out)
-
-    return base.map_batches(pivot, batch_format="pandas", batch_size=None)
 
 
 _RETRIEVAL_QUERIES: tuple[tuple[str, ...], ...] = (
@@ -5239,42 +4275,23 @@ QUERIES = {
     "doc_repetition_stats": doc_repetition_stats,
     "doc_bigram_topk": doc_bigram_topk,
     "doc_top_terms": doc_top_terms,
-    "orders_basket_affinity": orders_basket_affinity,
-    "top_spenders": top_spenders,
-    "priority_by_region": priority_by_region,
-    "customers_without_orders": customers_without_orders,
-    "customer_order_counts": customer_order_counts,
-    "orders_with_building_customer": orders_with_building_customer,
-    "customers_rfm": customers_rfm,
-    "users_first_seen_late": users_first_seen_late,
     "doc_char_stats": doc_char_stats,
-    "customer_event_outer": customer_event_outer,
-    "orders_rollup": orders_rollup,
-    "orders_cube": orders_cube,
     "doc_length_histogram": doc_length_histogram,
     "lang_length_quantiles": lang_length_quantiles,
-    "orders_above_cust_avg": orders_above_cust_avg,
-    "orders_pivot": orders_pivot,
     "doc_length_percentiles": doc_length_percentiles,
-    "customers_in_events_bloom": customers_in_events_bloom,
-    "orders_events_key_overlap": orders_events_key_overlap,
     "embedding_cluster_assign": embedding_cluster_assign,
-    "orders_monthly_growth": orders_monthly_growth,
     "doc_bm25_scores": doc_bm25_scores,
     "doc_bm25_topk": doc_bm25_topk,
     "doc_ks_drift": doc_ks_drift,
     "doc_feature_hash": doc_feature_hash,
     "doc_length_zscore": doc_length_zscore,
     "doc_char_entropy": doc_char_entropy,
-    "customers_pareto_80": customers_pareto_80,
     "embedding_quantize_int8": embedding_quantize_int8,
     "doc_bpe_pack_windows": doc_bpe_pack_windows,
     "embedding_cluster_purity": embedding_cluster_purity,
     "doc_bpe_tokenize": doc_bpe_tokenize,
     "embedding_pq_codes": embedding_pq_codes,
     "doc_lang_confusion": doc_lang_confusion,
-    "orders_fulfillment_days": orders_fulfillment_days,
-    "orders_duplicate_payments": orders_duplicate_payments,
     "doc_unigram_perplexity": doc_unigram_perplexity,
     "embedding_covariance": embedding_covariance,
     "doc_step_pipeline": doc_step_pipeline,
@@ -5504,37 +4521,6 @@ ORACLES = {
                CAST(CASE WHEN bow.doc_id <> own.bow_owner THEN 1 ELSE 0 END AS BIGINT) AS is_dup
         FROM bow JOIN own USING (h)
     """,
-    "customer_event_outer": """
-        WITH c AS (
-            SELECT c_custkey AS key,
-                   CAST(FLOOR(c_acctbal * 100 + 0.5) AS BIGINT) AS acctbal_cents
-            FROM customer WHERE c_mktsegment = 'BUILDING'
-        ), e AS (
-            SELECT user_id AS key, COUNT(*) AS n_events FROM events GROUP BY user_id
-        )
-        SELECT COALESCE(c.key, e.key) AS key,
-               COALESCE(c.acctbal_cents, -1) AS acctbal_cents,
-               CAST(COALESCE(e.n_events, -1) AS BIGINT) AS n_events
-        FROM c FULL OUTER JOIN e ON c.key = e.key
-    """,
-    "orders_rollup": """
-        SELECT COALESCE(o_orderpriority, 'ALL') AS o_orderpriority,
-               COALESCE(o_orderstatus, 'ALL') AS o_orderstatus,
-               COUNT(*) AS n,
-               CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS total_cents
-        FROM orders
-        WHERE o_orderpriority IS NOT NULL AND o_orderstatus IS NOT NULL
-        GROUP BY ROLLUP(o_orderpriority, o_orderstatus)
-    """,
-    "orders_cube": """
-        SELECT COALESCE(o_orderpriority, 'ALL') AS o_orderpriority,
-               COALESCE(o_orderstatus, 'ALL') AS o_orderstatus,
-               COUNT(*) AS n,
-               CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS total_cents
-        FROM orders
-        WHERE o_orderpriority IS NOT NULL AND o_orderstatus IS NOT NULL
-        GROUP BY CUBE(o_orderpriority, o_orderstatus)
-    """,
     "doc_length_histogram": """
         WITH b AS (
             SELECT LEAST(n_chars // 200, 19) AS bucket, COUNT(*) AS n
@@ -5561,99 +4547,6 @@ ORACLES = {
         FROM (VALUES (CAST(50 AS BIGINT)), (90)) p(pct), w
         WHERE w.cum >= (p.pct * w.n + 99) // 100
         GROUP BY w.lang, p.pct
-    """,
-    "orders_above_cust_avg": """
-        WITH s AS (
-            SELECT o_custkey,
-                   CAST(COUNT(*) AS BIGINT) AS n,
-                   CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS tot
-            FROM orders GROUP BY o_custkey
-        )
-        SELECT o.o_orderkey, o.o_custkey,
-               CAST(FLOOR(o.o_totalprice*100 + 0.5) AS BIGINT) AS cents
-        FROM orders o JOIN s ON s.o_custkey = o.o_custkey
-        WHERE CAST(FLOOR(o.o_totalprice*100 + 0.5) AS BIGINT) * s.n > s.tot
-    """,
-    "orders_pivot": """
-        SELECT o_orderpriority,
-               CAST(SUM(CASE WHEN o_orderstatus = 'F' THEN 1 ELSE 0 END) AS BIGINT) AS n_F,
-               CAST(SUM(CASE WHEN o_orderstatus = 'F'
-                    THEN CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) ELSE 0 END) AS BIGINT) AS cents_F,
-               CAST(SUM(CASE WHEN o_orderstatus = 'O' THEN 1 ELSE 0 END) AS BIGINT) AS n_O,
-               CAST(SUM(CASE WHEN o_orderstatus = 'O'
-                    THEN CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) ELSE 0 END) AS BIGINT) AS cents_O,
-               CAST(SUM(CASE WHEN o_orderstatus = 'P' THEN 1 ELSE 0 END) AS BIGINT) AS n_P,
-               CAST(SUM(CASE WHEN o_orderstatus = 'P'
-                    THEN CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) ELSE 0 END) AS BIGINT) AS cents_P
-        FROM orders
-        WHERE o_orderpriority IS NOT NULL AND o_orderstatus IS NOT NULL
-        GROUP BY o_orderpriority
-    """,
-    "customer_order_counts": """
-        SELECT c.c_custkey, CAST(COUNT(o.o_custkey) AS BIGINT) AS n_orders
-        FROM customer c LEFT JOIN orders o ON o.o_custkey = c.c_custkey
-        GROUP BY c.c_custkey
-    """,
-    "orders_with_building_customer": """
-        SELECT o.o_orderkey, o.o_custkey
-        FROM orders o
-        WHERE EXISTS (
-            SELECT 1 FROM customer c
-            WHERE c.c_custkey = o.o_custkey AND c.c_mktsegment = 'BUILDING'
-        )
-    """,
-    "top_spenders": """
-        SELECT o_custkey,
-               CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS total_cents,
-               COUNT(*) AS n_orders
-        FROM orders
-        GROUP BY o_custkey
-        ORDER BY total_cents DESC, o_custkey
-        LIMIT 10
-    """,
-    "priority_by_region": """
-        SELECT r_name, o_orderpriority, COUNT(*) AS n
-        FROM orders
-        JOIN customer ON o_custkey = c_custkey
-        JOIN nation ON c_nationkey = n_nationkey
-        JOIN region ON n_regionkey = r_regionkey
-        GROUP BY r_name, o_orderpriority
-    """,
-    "customers_without_orders": """
-        SELECT c_custkey FROM customer
-        WHERE c_custkey NOT IN (SELECT DISTINCT o_custkey FROM orders)
-    """,
-    "customers_rfm": """
-        WITH a AS (
-            SELECT o_custkey AS c_custkey,
-                   CAST(max(epoch_us(o_orderdate)) AS BIGINT) AS last_us,
-                   CAST(count(*) AS BIGINT) AS n_orders,
-                   CAST(SUM(CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT))
-                        AS BIGINT) AS cents
-            FROM orders GROUP BY 1
-        ), j AS (
-            SELECT a.c_custkey, a.last_us, a.n_orders, a.cents, c.c_nationkey
-            FROM a JOIN customer c ON c.c_custkey = a.c_custkey
-        ), t AS (
-            SELECT c_custkey,
-                   CAST(NTILE(4) OVER (PARTITION BY c_nationkey
-                        ORDER BY last_us DESC, c_custkey) AS BIGINT) AS r_q,
-                   CAST(NTILE(4) OVER (PARTITION BY c_nationkey
-                        ORDER BY n_orders DESC, c_custkey) AS BIGINT) AS f_q,
-                   CAST(NTILE(4) OVER (PARTITION BY c_nationkey
-                        ORDER BY cents DESC, c_custkey) AS BIGINT) AS m_q
-            FROM j
-        )
-        SELECT c_custkey, r_q, f_q, m_q,
-               100 * r_q + 10 * f_q + m_q AS segment
-        FROM t
-    """,
-    "users_first_seen_late": """
-        WITH bounds AS (SELECT MIN(ts) AS tmin, MAX(ts) AS tmax FROM events),
-        cutoff AS (SELECT tmin + (tmax - tmin)/2 AS c FROM bounds)
-        SELECT DISTINCT user_id FROM events, cutoff
-        WHERE ts >= c
-          AND user_id NOT IN (SELECT user_id FROM events, cutoff WHERE ts < c)
     """,
     "doc_dedup_summary": """
         SELECT source,
@@ -5984,29 +4877,6 @@ ORACLES["doc_lang_confusion"] = f"""
     SELECT d.lang, p.lang_pred, CAST(COUNT(*) AS BIGINT) AS n
     FROM documents d JOIN pred p ON d.doc_id = p.doc_id
     GROUP BY 1, 2
-"""
-ORACLES["orders_fulfillment_days"] = """
-    WITH s AS (
-        SELECT l_orderkey AS o_orderkey, MAX(l_shipdate) AS ship
-        FROM lineitem GROUP BY 1
-    )
-    SELECT CAST((epoch_us(s.ship) - epoch_us(o.o_orderdate)) // 86400000000
-                AS BIGINT) AS days,
-           CAST(COUNT(*) AS BIGINT) AS n_orders
-    FROM s JOIN orders o USING (o_orderkey)
-    GROUP BY 1
-"""
-ORACLES["orders_duplicate_payments"] = """
-    WITH o AS (
-        SELECT o_custkey, o_totalprice FROM orders
-        UNION ALL
-        SELECT o_custkey, o_totalprice FROM orders WHERE o_orderkey % 100 = 0
-    )
-    SELECT CAST(o_custkey AS BIGINT) AS o_custkey,
-           CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents,
-           CAST(COUNT(*) AS BIGINT) AS n
-    FROM o
-    GROUP BY 1, 2 HAVING COUNT(*) > 1
 """
 
 
@@ -6413,55 +5283,6 @@ def _curation_oracle_sql() -> str:
     """
 
 
-def _bloom_oracle_sql() -> str:
-    """Replay customers_in_events_bloom bit-for-bit: the BLOOM_K salted
-    avalanche chains (same stacked-CTE scoping trick as the CMS oracle)
-    run once over the union of distinct event user ids and customer
-    keys; set bits = the distinct positions contributed by the event
-    side; a customer's bloom_hit is 1 iff ALL of its positions are set.
-    The exact-membership column is a plain IN against the distinct user
-    set, so the one-sided guarantee (actual=1 ⇒ bloom_hit=1) is checked
-    row by row by the driver's value hash."""
-    from ..functions.sketch import BLOOM_M, CMS_SALTS
-
-    ctes = [
-        "uidt AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS k FROM events)",
-        "ck AS (SELECT CAST(c_custkey AS BIGINT) AS k FROM customer)",
-        "allk AS (SELECT k FROM uidt UNION SELECT DISTINCT k FROM ck)",
-    ]
-    prev = "allk"
-    carry = ["k"]
-    for i, s in enumerate(CMS_SALTS):
-        sel = ", ".join(carry)
-        ctes.append(
-            f"h{i} AS (SELECT {sel}, "
-            f"{_sql_mm64('k', int(s))} AS s{i}, "
-            f"{_sql_avalanche_select(f's{i}', f'hv{i}')} FROM {prev})"
-        )
-        ctes.append(
-            f"g{i} AS (SELECT {sel}, "
-            f"CAST(CAST(hv{i} AS HUGEINT) % {BLOOM_M} AS BIGINT) AS b{i} FROM h{i})"
-        )
-        carry.append(f"b{i}")
-        prev = f"g{i}"
-    bcols = [f"b{i}" for i in range(len(CMS_SALTS))]
-    ctes.append(f"cols AS (SELECT {', '.join(carry)} FROM {prev})")
-    bit_union = " UNION ".join(
-        f"SELECT {b} AS b FROM cols JOIN uidt USING (k)" for b in bcols
-    )
-    ctes.append(f"bits AS ({bit_union})")
-    all_set = " AND ".join(f"c.{b} IN (SELECT b FROM bits)" for b in bcols)
-    return f"""
-        WITH {', '.join(ctes)}
-        SELECT c.k AS c_custkey,
-               CAST(CASE WHEN {all_set} THEN 1 ELSE 0 END AS BIGINT) AS bloom_hit,
-               CAST(CASE WHEN c.k IN (SELECT k FROM uidt)
-                    THEN 1 ELSE 0 END AS BIGINT) AS actual
-        FROM ck c0 JOIN cols c USING (k)
-    """
-
-
-ORACLES["customers_in_events_bloom"] = _bloom_oracle_sql()
 def _shuffle_oracle_sql() -> str:
     """Replay global_shuffle_rank's hash chain (avalanche of doc_id *
     SHUFFLE_SALT, exact 64-bit wrap) and its (h, id) total order."""
@@ -6782,23 +5603,6 @@ ORACLES["doc_char_entropy"] = """
            - CAST(S AS DOUBLE) / (CAST(n AS DOUBLE) * 1048576.0) AS entropy
     FROM s
 """
-ORACLES["customers_pareto_80"] = """
-    WITH r AS (
-        SELECT CAST(o_custkey AS BIGINT) AS c_custkey,
-               CAST(SUM(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT)) AS BIGINT)
-                   AS rev_cents
-        FROM orders GROUP BY 1
-    ),
-    t AS (SELECT CAST(SUM(rev_cents) AS BIGINT) AS total FROM r),
-    w AS (
-        SELECT c_custkey, rev_cents,
-               SUM(rev_cents) OVER (
-                   ORDER BY rev_cents DESC, c_custkey
-                   ROWS UNBOUNDED PRECEDING) AS cum
-        FROM r
-    )
-    SELECT c_custkey, rev_cents FROM w, t WHERE 5 * (cum - rev_cents) < 4 * total
-"""
 ORACLES["embedding_quantize_int8"] = """
     WITH x AS (
         SELECT CAST(vec_id AS BIGINT) AS vec_id,
@@ -6931,31 +5735,6 @@ ORACLES["embedding_cluster_assign"] = """
     QUALIFY ROW_NUMBER() OVER (
         PARTITION BY vec_id ORDER BY sim DESC, cid
     ) = 1
-"""
-ORACLES["orders_monthly_growth"] = """
-    WITH m AS (
-        SELECT strftime(o_orderdate, '%Y-%m') AS month,
-               CAST(SUM(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT)) AS BIGINT)
-                   AS revenue_cents,
-               CAST(COUNT(*) AS BIGINT) AS n_orders
-        FROM orders GROUP BY 1
-    )
-    SELECT month, revenue_cents, n_orders,
-           CAST(revenue_cents - coalesce(
-               LAG(revenue_cents) OVER (ORDER BY month), revenue_cents)
-               AS BIGINT) AS delta_cents
-    FROM m
-"""
-ORACLES["orders_events_key_overlap"] = """
-    WITH o AS (SELECT DISTINCT CAST(o_custkey AS BIGINT) AS k FROM orders),
-         e AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS k FROM events)
-    SELECT
-        CAST((SELECT COUNT(*) FROM o
-              WHERE k NOT IN (SELECT k FROM e)) AS BIGINT) AS n_orders_only,
-        CAST((SELECT COUNT(*) FROM e
-              WHERE k NOT IN (SELECT k FROM o)) AS BIGINT) AS n_events_only,
-        CAST((SELECT COUNT(*) FROM o
-              WHERE k IN (SELECT k FROM e)) AS BIGINT) AS n_both
 """
 ORACLES["doc_minhash_near_dup"] = _minhash_oracle_sql()
 ORACLES["doc_minhash_eval"] = _minhash_eval_oracle_sql()
@@ -7167,16 +5946,6 @@ ORACLES["embedding_cluster_purity"] = """
     FROM top t JOIN tot ON tot.cluster_id = t.cluster_id
 """
 
-ORACLES["orders_basket_affinity"] = """
-    WITH lp AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem)
-    SELECT a.l_partkey AS p1, b.l_partkey AS p2,
-           CAST(COUNT(*) AS BIGINT) AS support
-    FROM lp a JOIN lp b
-      ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-    GROUP BY 1, 2
-    ORDER BY support DESC, p1, p2
-    LIMIT 50
-"""
 
 ORACLES["doc_chunk_overlap"] = """
     WITH t AS (

@@ -1,7 +1,7 @@
 """Large-large relational primitives Ray Data 2.49 lacks natively.
 
 ``hash_join``: a hash-partitioned equi-join where BOTH sides are big —
-the case broadcast joins (``priority_by_region``'s searchsorted lookup,
+the case broadcast joins (``anti_join_keys``' narrow path,
 ``stages/fetch.py``'s corpus index) don't cover. Each side is tagged and
 padded to one unified schema, unioned, coarse-partitioned by a pure
 function of the join key (so every key's rows from both sides co-locate,
@@ -12,15 +12,12 @@ right after the merge so partial aggregates can collapse before leaving
 the exchange (combiner pushdown).
 
 ``how`` semantics:
-- ``inner`` / ``left``: pandas merge per partition. ``left`` converts
-  the right side's int64 payloads to pandas nullable Int64 first so
-  null-padded misses never round-trip values >= 2^53 through float64.
-- ``anti`` / ``semi``: Arrow-native key-membership filter per partition
+- ``inner``: pandas merge per partition.
+- ``anti``: Arrow-native key-membership filter per partition
   (``pc.is_in`` against the partition's right-key set) — exact for
   int64 of any magnitude and for string keys, no pandas conversion at
   all unless a ``post`` kernel is supplied. NULL left keys follow SQL
-  ANTI/SEMI (NOT EXISTS) semantics: never match, so anti keeps them and
-  semi drops them.
+  NOT EXISTS semantics: they never match, so anti keeps them.
 
 Keys may be integer (cast to int64) or string (partitioned by the
 lockstep-vectorized ``xxhash64_array``, the repo-standard string hash).
@@ -31,10 +28,10 @@ key-count partial pass over the left (N) side detects keys whose global
 count exceeds ``hot_factor`` × the expected per-partition mean, the
 left side's hot rows are salted across ``n_salts`` partitions, and the
 right (1 / key) side's hot rows are REPLICATED into each salted
-partition. Replication makes the per-partition merge exact for
-inner/left/semi/anti, but it splits a hot key's merged rows across
-partitions — so with ``salt_hot`` a ``post`` kernel must be a true
-combiner (re-combined downstream), never a finalizer. Off by default.
+partition. Replication makes the per-partition merge exact for inner
+and anti, but it splits a hot key's merged rows across partitions — so
+with ``salt_hot`` a ``post`` kernel must be a true combiner
+(re-combined downstream), never a finalizer. Off by default.
 """
 
 from __future__ import annotations
@@ -110,9 +107,9 @@ def hash_join(
     """Hash-partitioned equi-join on key ``on`` (int or string);
     non-key column names must be disjoint. ``post`` (optional) is
     applied to each partition's merged frame before it leaves the
-    exchange. ``how`` ∈ {inner, left, outer, semi, anti}; semi/anti
-    return left columns only (``right`` may be a bare key dataset)."""
-    if how not in ("inner", "left", "outer", "semi", "anti"):
+    exchange. ``how`` ∈ {inner, anti}; anti returns left columns only
+    (``right`` may be a bare key dataset)."""
+    if how not in ("inner", "anti"):
         raise ValueError(f"hash_join: unsupported how={how!r}")
 
     def _arrow_type(t) -> pa.DataType:
@@ -210,49 +207,22 @@ def hash_join(
         side = group["__side"].to_numpy(zero_copy_only=False)
         l_tab = group.filter(pa.array(side == 0)).select([on, *lcols])
         r_tab = group.filter(pa.array(side == 1)).select([on, *rcols])
-        if how in ("semi", "anti"):
+        if how == "anti":
             # Arrow-native membership: no pandas, exact at any int64
             # magnitude. NULL keys never match (SQL): nulls are dropped
             # from the value set and fill_null(False) handles left nulls.
             rset = pc.unique(r_tab[on].combine_chunks().drop_null())
             mask = pc.fill_null(pc.is_in(l_tab[on], value_set=rset), False)
-            if how == "anti":
-                mask = pc.invert(mask)
-            out_tab = l_tab.filter(mask)
+            out_tab = l_tab.filter(pc.invert(mask))
             if post is None:
                 return out_tab
-            out = post(out_tab.to_pandas())
-            return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-        # SQL join semantics: a NULL key matches nothing. pandas merge
-        # would match NaN==NaN, so drop null-key right rows first (a
-        # null-key left row then finds no partner: dropped by inner,
-        # null-padded by left/outer — exactly SQL; for outer the
-        # dropped null-key RIGHT rows re-enter below, left-null-padded).
-        r_null = r_tab.filter(pc.is_null(r_tab[on])) if how == "outer" else None
-        r_tab = r_tab.filter(pc.is_valid(r_tab[on]))
-        l = l_tab.to_pandas()
-        r = r_tab.to_pandas()
-        if how in ("left", "outer"):
-            # null-padded misses must not drag int64 payloads through
-            # float64 — promote the padded side(s) to nullable Int64
-            up = {c: "Int64" for c in rcols if r[c].dtype == np.int64}
-            if up:
-                r = r.astype(up)
-        if how == "outer":
-            up = {c: "Int64" for c in lcols if l[c].dtype == np.int64}
-            # the key itself pads on right-only rows: keep int64 exact
-            if l[on].dtype == np.int64:
-                up[on] = "Int64"
-                r = r.astype({on: "Int64"})
-            if up:
-                l = l.astype(up)
-        out = l.merge(r, on=on, how=how)
-        if how == "outer" and r_null is not None and len(r_null):
-            pad = r_null.to_pandas().reindex(columns=list(out.columns))
-            pad = pad.astype(
-                {c: out[c].dtype for c in out.columns if str(out[c].dtype) == "Int64"}
-            )
-            out = pd.concat([out, pad], ignore_index=True)
+            out = out_tab.to_pandas()
+        else:
+            # SQL join semantics: a NULL key matches nothing. pandas
+            # merge would match NaN==NaN, so drop null-key right rows
+            # first; a null-key left row then finds no partner.
+            r_tab = r_tab.filter(pc.is_valid(r_tab[on]))
+            out = l_tab.to_pandas().merge(r_tab.to_pandas(), on=on, how="inner")
         if post is not None:
             out = post(out)
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)

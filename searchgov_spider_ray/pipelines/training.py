@@ -43,25 +43,19 @@ from ..functions.textstats import content_hashes, detect_lang, fingerprint, qual
 # --------------------------------------------------------------------------
 
 
-def add_content_hash(ds: rd.Dataset, text_col: str = "text") -> rd.Dataset:
-    """Vectorized content-hash column (whitespace/case-normalized
-    xxhash64) — the exact-dedup key."""
-
-    def kernel(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["content_hash"] = content_hashes(batch[text_col])
-        return batch
-
-    return ds.map_batches(kernel, batch_format="pandas")
-
-
 def dedup_exact_first(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "text") -> rd.Dataset:
-    """First-wins exact dedup: hash-partition by content hash, keep the
+    """First-wins exact dedup: hash-partition by content hash (the
+    whitespace/case-normalized xxhash64 of ``text_col``), keep the
     min-id row per group (reference A1 DeDeuplicatorPipeline semantics,
     pipelines.py:173-188, made deterministic by min-id instead of
     arrival order)."""
     from ray.data.aggregate import Min
 
-    hashed = add_content_hash(ds, text_col)
+    def kernel(batch: pd.DataFrame) -> pd.DataFrame:
+        batch["content_hash"] = content_hashes(batch[text_col])
+        return batch
+
+    hashed = ds.map_batches(kernel, batch_format="pandas")
     return hashed.groupby("content_hash").aggregate(Min(id_col, alias_name=id_col))
 
 

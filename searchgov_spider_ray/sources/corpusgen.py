@@ -37,8 +37,12 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import xxhash64
-from .lance_io import HAVE_LANCE
 from ..stages.decode import fake_decode, fake_encode, phash64
+
+try:  # pragma: no cover - optional; parquet is always written
+    import lance
+except ImportError:
+    lance = None
 
 
 @dataclass
@@ -411,9 +415,7 @@ def generate_corpus(
         iwriter.close()
         if ex is not None:
             ex.shutdown()
-    if HAVE_LANCE:  # pragma: no cover - lance absent in this container
-        import lance
-
+    if lance is not None:  # pragma: no cover
         lance.write_dataset(
             pq.read_table(out / "corpus_images.parquet"),
             str(out / "corpus_images.lance"),

@@ -13,8 +13,9 @@ Reference:
 
 Ray-Data re-expression: recursion becomes an iterative loop of
 Datasets (parse → split index refs vs leaf URLs → refetch the refs);
-the diff is an anti-join via broadcast key set (the same pattern as
-pipelines/queries.customers_without_orders).
+the diff is an anti-join (``pipelines/relational.anti_join_keys``: a
+broadcast key set below its row threshold, a hash-partitioned anti
+join above it).
 """
 
 from __future__ import annotations

@@ -178,8 +178,7 @@ class UrlSeenShard:
         needs-confirmation, and only the maybe-seen minority (true dups
         + ~3% filter false positives) pays a per-element exact-set
         lookup. New hashes bulk-insert via the vectorized
-        ``insert_batch`` with the same grow-on-overflow recovery as the
-        scalar path."""
+        ``insert_batch`` with grow-on-overflow recovery."""
         hashes = hashes.astype(np.uint64)
         novel = np.zeros(len(hashes), dtype=bool)
         if len(hashes) == 0:
@@ -200,11 +199,14 @@ class UrlSeenShard:
         return novel
 
     def _insert_batch_growing(self, new_hashes: np.ndarray) -> None:
-        """Bulk-insert admitted hashes; on filter overflow rebuild at
-        2× from the authoritative ``exact`` set (which already contains
-        the new hashes), exactly like the scalar ``_insert_growing`` —
-        a partial bulk insert before the raise is safely discarded by
-        the rebuild."""
+        """Bulk-insert admitted hashes; NEVER hard-fails. Cuckoo
+        filters wedge a few percent below nominal capacity, and a raise
+        here would leave ``exact`` and the filter inconsistent (a false
+        negative for an admitted hash). On overflow, rebuild the filter
+        at 2× from the authoritative ``exact`` set (which already
+        contains the new hashes, so a partial bulk insert before the
+        raise is safely discarded) and keep doubling on a pathological
+        fill — amortized O(1), shard state stays exactly consistent."""
         try:
             self.filter.insert_batch(new_hashes)
             return
@@ -218,29 +220,6 @@ class UrlSeenShard:
                 self.filter = grown
                 return
             except RuntimeError:
-                cap *= 2
-
-    def _insert_growing(self, hi: int) -> None:
-        """Filter insert that NEVER hard-fails: cuckoo filters wedge a
-        few percent below nominal capacity, and a mid-batch raise would
-        leave ``exact`` and the filter inconsistent (a false negative
-        for an admitted hash). On overflow, rebuild the filter at 2×
-        from the authoritative ``exact`` set and retry — amortized
-        O(1), shard state stays exactly consistent."""
-        try:
-            self.filter.insert(hi)
-            return
-        except RuntimeError:
-            pass
-        cap = self.filter.n_buckets * 8  # 2× the current slot count
-        while True:
-            grown = CuckooFilter(capacity=cap, seed=self.filter.seed)
-            try:
-                # exact already includes hi — the rebuild inserts it too
-                grown.insert_batch(np.fromiter(self.exact, dtype=np.uint64, count=len(self.exact)))
-                self.filter = grown
-                return
-            except RuntimeError:  # pathological fill even at 2× — keep doubling
                 cap *= 2
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:

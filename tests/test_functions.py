@@ -217,29 +217,6 @@ class TestSimDedup:
         assert simdedup.jaccard(a, a) == 1.0
 
 
-class TestInSorted:
-    """_in_sorted is the broadcast membership filter used by
-    customers_without_orders / users_first_seen_late; the sf fixtures
-    exercise only its all-present path, so pin both sides here."""
-
-    def test_membership(self):
-        import numpy as np
-
-        from searchgov_spider_ray.pipelines.queries import _in_sorted
-
-        arr = np.array([2, 5, 7, 100], dtype=np.int64)
-        keys = np.array([1, 2, 3, 5, 7, 99, 100, 101], dtype=np.int64)
-        got = _in_sorted(arr, keys)
-        assert got.tolist() == [False, True, False, True, True, False, True, False]
-
-    def test_empty_arr(self):
-        import numpy as np
-
-        from searchgov_spider_ray.pipelines.queries import _in_sorted
-
-        assert _in_sorted(np.array([], dtype=np.int64), np.array([1, 2], dtype=np.int64)).tolist() == [False, False]
-
-
 class TestStratifiedSample:
     """sample_stratified is a pure function of (key, stratum): identical
     survivors under any partitioning, exact per-row predicate."""

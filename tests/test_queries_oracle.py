@@ -12,10 +12,7 @@ import duckdb
 import pandas as pd
 import pytest
 
-TABLES = [
-    "region", "nation", "customer",
-    "orders", "lineitem", "events", "documents", "embeddings",
-]
+TABLES = ["documents", "embeddings"]
 
 
 def _to_df(result) -> pd.DataFrame:
@@ -89,33 +86,6 @@ class TestForcedWideDispatch:
     dispatch must produce identical results on both paths — the same
     contract tests/test_training.py pins for the dedup kernels."""
 
-    def test_customers_without_orders_wide(self, ray_session, sf_dir, oracle_con):
-        from searchgov_spider_ray.pipelines import queries as q
-        import __ray_entry__ as e
-
-        wide = _to_df(q.customers_without_orders(sf_dir, broadcast_below=0))
-        theirs = oracle_con.execute(e.oracle_sql()["customers_without_orders"]).fetchdf()
-        assert len(wide) == len(theirs)
-        assert _value_hash(wide) == _value_hash(theirs)
-
-    def test_users_first_seen_late_wide(self, ray_session, sf_dir, oracle_con):
-        from searchgov_spider_ray.pipelines import queries as q
-        import __ray_entry__ as e
-
-        wide = _to_df(q.users_first_seen_late(sf_dir, broadcast_below=0))
-        theirs = oracle_con.execute(e.oracle_sql()["users_first_seen_late"]).fetchdf()
-        assert len(wide) == len(theirs)
-        assert _value_hash(wide) == _value_hash(theirs)
-
-    def test_priority_by_region_wide(self, ray_session, sf_dir, oracle_con):
-        from searchgov_spider_ray.pipelines import queries as q
-        import __ray_entry__ as e
-
-        wide = _to_df(q.priority_by_region(sf_dir, wide_customer_rows=0))
-        theirs = oracle_con.execute(e.oracle_sql()["priority_by_region"]).fetchdf()
-        assert len(wide) == len(theirs) and len(wide) > 0
-        assert _value_hash(wide) == _value_hash(theirs)
-
     def test_embedding_knn_join_wide(self, ray_session, sf_dir, oracle_con):
         from searchgov_spider_ray.pipelines import queries as q
         import __ray_entry__ as e
@@ -135,15 +105,6 @@ class TestForcedWideDispatch:
         theirs = oracle_con.execute(
             e.oracle_sql()["embedding_knn_classify"]
         ).fetchdf()
-        assert len(wide) == len(theirs) and len(wide) > 0
-        assert _value_hash(wide) == _value_hash(theirs)
-
-    def test_customers_rfm_wide(self, ray_session, sf_dir, oracle_con):
-        from searchgov_spider_ray.pipelines import queries as q
-        import __ray_entry__ as e
-
-        wide = _to_df(q.customers_rfm(sf_dir, wide_customer_rows=0))
-        theirs = oracle_con.execute(e.oracle_sql()["customers_rfm"]).fetchdf()
         assert len(wide) == len(theirs) and len(wide) > 0
         assert _value_hash(wide) == _value_hash(theirs)
 

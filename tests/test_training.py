@@ -606,39 +606,6 @@ class TestCentroidAssign:
         assert (out["cluster_id"] == 5).all()
 
 
-class TestBloom:
-    def test_no_false_negatives_and_low_fp(self):
-        from searchgov_spider_ray.functions.sketch import bloom_partial, bloom_query
-
-        rng = np.random.RandomState(5)
-        members = rng.randint(0, 10**12, size=2000).astype(np.int64)
-        bits = bloom_partial(members)
-        assert bloom_query(bits, members).all()  # one-sided: never a miss
-        absent = members.max() + 1 + np.arange(5000, dtype=np.int64)
-        fp = bloom_query(bits, absent).mean()
-        assert fp < 0.05  # ~1.2% expected at 2k keys / 32768 bits / k=4
-
-    def test_union_merge_matches_whole(self):
-        from searchgov_spider_ray.functions.sketch import bloom_partial
-
-        rng = np.random.RandomState(6)
-        keys = rng.randint(0, 10**9, size=1000).astype(np.int64)
-        whole = bloom_partial(keys)
-        merged = np.unique(
-            np.concatenate(
-                [bloom_partial(keys[:300]), bloom_partial(keys[300:]),
-                 bloom_partial(keys[::7])]  # re-inserting dups changes nothing
-            )
-        )
-        assert np.array_equal(whole, merged)
-
-    def test_empty_set_rejects_everything(self):
-        from searchgov_spider_ray.functions.sketch import bloom_query
-
-        probe = np.array([1, 2, 3], dtype=np.int64)
-        assert not bloom_query(np.array([], dtype=np.int64), probe).any()
-
-
 class TestQuotaSample:
     def test_exact_quotas_and_cap(self, ray_session):
         df = pd.DataFrame(
