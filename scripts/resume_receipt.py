@@ -69,7 +69,7 @@ def main() -> None:
     t1 = time.time()
     part = CrawlJobRunner(site, cdir, out_res, replace(cfg, max_rounds=kill_round))
     res_part = part.run()
-    part.close()  # the "killed" process: actors gone, only disk state left
+    part.close()  # the "killed" process: state wiped; only disk state left
     t_part = time.time() - t1
 
     t2 = time.time()

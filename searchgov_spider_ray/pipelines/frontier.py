@@ -71,6 +71,7 @@ from ..stages.dedup import (
     collect_corrections,
     dump_shards,
     make_shard_pool,
+    park_shards,
     restore_shards,
 )
 from ..stages.decode import DecodePHash
@@ -932,6 +933,9 @@ class CrawlJobRunner:
         # their table-executor broadcasts, put once per job on first use
         self._kernel_refs: dict[str, ray.ObjectRef] = {}
         self.shards = make_shard_pool(self.cfg.num_shards, self.cfg.shard_capacity)
+        # False while a run() is in flight and after one raised: close()
+        # then kills the shard actors instead of parking them
+        self._parkable = True
         self.depth_counters: dict[int, int] = {}
 
     # --- seed admission (round 0 bootstrap; tiny, driver-side) ----------
@@ -1016,11 +1020,20 @@ class CrawlJobRunner:
         return self.ckpt.latest_complete_round()
 
     def close(self) -> None:
-        """Kill shard actors (frees their CPU/memory reservation).
-        Call when done reading state; a new runner restores from
-        checkpoint."""
-        for s in self.shards:
-            ray.kill(s)
+        """Release the shard actors. Call when done reading state; a new
+        runner restores from checkpoint.
+
+        Unless a ``run()`` of this runner raised or has not returned,
+        the actors are parked for the next runner in this Ray session
+        (stages/dedup.py :func:`park_shards`): their state is wiped and
+        its memory freed, and each keeps its process and its 0.25-CPU
+        reservation. After a fault they are killed, since tasks may
+        still be in flight with offers this runner never saw."""
+        if self._parkable:
+            park_shards(self.shards)
+        else:
+            for s in self.shards:
+                ray.kill(s)
         self.shards = []
 
     def _write_job_meta(self) -> None:
@@ -1041,6 +1054,7 @@ class CrawlJobRunner:
 
     def run(self, resume: bool = False) -> CrawlRunResult:
         cfg = self.cfg
+        self._parkable = False
         if resume and (k0 := self.resume_point()) is not None:
             manifest = self.ckpt.read_manifest(k0)
             self.depth_counters = {int(d): int(c) for d, c in manifest["depth_counters"].items()}
@@ -1094,6 +1108,7 @@ class CrawlJobRunner:
             total_fetched += fetched_count
             k += 1
         seen_total = int(sum(ray.get([s.size.remote() for s in self.shards])))
+        self._parkable = True
         return CrawlRunResult(
             job_id=self.site.job_id,
             rounds=k - start_round,

@@ -14,6 +14,18 @@ Exactly-once admission under task retries (SURVEY.md §7.5.2):
 ``offer`` is memoized per (round, batch-digest) inside the actor, so a
 retried map_batches task replays the original novelty mask instead of
 classifying its rows as duplicates (and never double-logs its offers).
+
+Actor lifecycle: the shard actors outlive the runner that uses them, as
+the reference's one Redis server outlives its jobs. A runner that
+closes cleanly parks its actors (:func:`park_shards`): each is reset to
+an empty shard, which drops its URL-seen state and frees that memory,
+but it keeps its process and its 0.25-CPU reservation. The next
+runner's :func:`make_shard_pool` in the same Ray session takes the
+parked actors, resets each to its new shard id, and spawns processes
+only for the shards still missing. No state carries over: a resume
+still restores every shard from its checkpoint file. At most one
+runner's worth of actors stays parked, and the driver owns them, so
+they die at ``ray.shutdown()`` or when the driver exits.
 """
 
 from __future__ import annotations
@@ -62,13 +74,22 @@ def _offer_digest(h: np.ndarray, a: np.ndarray) -> int:
 
 @ray.remote(num_cpus=0.25)
 class DedupShardActor:
-    """One URL-seen shard. Long-lived across rounds within a job.
+    """One URL-seen shard. Long-lived across rounds within a job, and
+    across the runners of one Ray session: a parked actor has been
+    :meth:`reset` to an empty shard (its state wiped, its memory freed)
+    and keeps its 0.25-CPU reservation until the next runner takes it.
 
     num_cpus=0.25: the shard does short vectorized membership ops per
     call, not sustained compute — a full-CPU reservation per shard
     would starve the task pool (S shards × jobs would eat the node)."""
 
     def __init__(self, shard_id: int, capacity: int = 1 << 16):
+        self.reset(shard_id, capacity)
+
+    def reset(self, shard_id: int, capacity: int = 1 << 16) -> None:
+        """Become a new, empty shard ``shard_id``: drop the shard, the
+        retry memo, the offer log and the pending-row count, and re-seed
+        the cuckoo filter, so the actor answers exactly as a new one."""
         self.shard_id = shard_id
         self.shard = UrlSeenShard(capacity=capacity, seed=shard_id)
         self._memo: dict[tuple[int, int], np.ndarray] = {}
@@ -190,14 +211,68 @@ class DedupShardActor:
         tmp.rename(path)
         return len(self.shard)
 
-    def restore(self, data: bytes) -> int:
-        self.shard = UrlSeenShard.load(data)
+    def restore_from(self, path: str) -> int:
+        """Load this shard from its checkpoint file, read inside the
+        actor as :meth:`dump_to` writes it."""
+        self.shard = UrlSeenShard.load(Path(path).read_bytes())
         return len(self.shard)
 
 
+# This driver's parked shard actors, by Ray session (node id, job id).
+_parked: dict[tuple[str, str], list] = {}
+
+
+def _parked_pool() -> list:
+    """The current Ray session's parked actors. Handles parked in any
+    other session name actors of a cluster that is gone: drop them."""
+    ctx = ray.get_runtime_context()
+    key = (ctx.get_node_id(), ctx.get_job_id())
+    for old in [k for k in _parked if k != key]:
+        del _parked[old]
+    return _parked.setdefault(key, [])
+
+
+def _reset(handles: list, capacity: int = 1 << 16) -> list[bool]:
+    """Reset actor ``i`` of ``handles`` to an empty shard ``i``; return
+    which of them answered (a dead actor raises instead)."""
+    refs = [h.reset.remote(i, capacity) for i, h in enumerate(handles)]
+    alive = []
+    for ref in refs:
+        try:
+            ray.get(ref)
+            alive.append(True)
+        except ray.exceptions.RayActorError:
+            alive.append(False)
+    return alive
+
+
 def make_shard_pool(num_shards: int, capacity: int = 1 << 16) -> list:
-    """Spawn the shard actor pool (driver-side, once per job)."""
-    return [DedupShardActor.remote(i, capacity) for i in range(num_shards)]
+    """The shard actor pool of one runner (driver-side): this Ray
+    session's parked actors first, each reset to an empty shard of its
+    new id, then new actors for the shards still missing."""
+    pool = _parked_pool()
+    taken = [pool.pop() for _ in range(min(num_shards, len(pool)))]
+    shards = [
+        h if ok else DedupShardActor.remote(i, capacity)
+        for i, (h, ok) in enumerate(zip(taken, _reset(taken, capacity)))
+    ]
+    return shards + [DedupShardActor.remote(i, capacity) for i in range(len(shards), num_shards)]
+
+
+def park_shards(shard_handles: list) -> None:
+    """Wipe a runner's shard actors and park them for the next
+    :func:`make_shard_pool` of this Ray session. The reset frees each
+    shard's memory and confirms the actor is alive; a dead one is
+    dropped. At most ``len(shard_handles)`` actors stay parked: the
+    oldest surplus is killed."""
+    if not shard_handles:
+        return
+    pool = _parked_pool()
+    pool += [h for h, ok in zip(shard_handles, _reset(shard_handles)) if ok]
+    surplus = max(0, len(pool) - len(shard_handles))
+    for h in pool[:surplus]:
+        ray.kill(h)
+    del pool[:surplus]
 
 
 class FusedDedupRouter:
@@ -320,17 +395,19 @@ def dump_shards(shard_handles: list, out_dir: str | Path, done_round: int) -> li
     round ``done_round`` — the actors write their own files concurrently
     and drop that round's replay state. Returns each shard's size at its
     dump (the manifest's ``shard_sizes``)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [str(out / f"shard_{i:04d}.npz") for i in range(len(shard_handles))]
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     return ray.get(
-        [s.dump_to.remote(p, done_round) for s, p in zip(shard_handles, paths)]
+        [s.dump_to.remote(_shard_path(out_dir, i), done_round) for i, s in enumerate(shard_handles)]
     )
 
 
 def restore_shards(shard_handles: list, ckpt_dir: str | Path) -> list[int]:
-    ckpt = Path(ckpt_dir)
-    futs = []
-    for i, s in enumerate(shard_handles):
-        futs.append(s.restore.remote((ckpt / f"shard_{i:04d}.npz").read_bytes()))
-    return ray.get(futs)
+    """Load every shard from its checkpoint file; each actor reads its
+    own file, so no shard's bytes pass through the driver."""
+    return ray.get(
+        [s.restore_from.remote(_shard_path(ckpt_dir, i)) for i, s in enumerate(shard_handles)]
+    )
+
+
+def _shard_path(ckpt_dir: str | Path, i: int) -> str:
+    return str(Path(ckpt_dir) / f"shard_{i:04d}.npz")

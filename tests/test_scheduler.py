@@ -57,6 +57,55 @@ class TestScheduler:
         assert all(s.status == "finished" for s in m.jobs.values())
         assert all(s.fetched > 0 for s in m.jobs.values())
 
+    def test_jobs_share_one_pool_of_shard_actors(self, sched_corpus, tmp_path, monkeypatch):
+        """Each job's runner takes the shard actors the previous job
+        parked, and each job still crawls exactly as the simulator."""
+        import pyarrow.parquet as pq
+
+        from searchgov_spider_ray.pipelines import frontier
+        from searchgov_spider_ray.pipelines.simulator import (
+            RobotsRules,
+            load_corpus_dict,
+            simulate_crawl,
+        )
+
+        sites = CrawlSites.from_records(
+            [
+                {"name": "job a", "allowed_domains": "site0.example.gov",
+                 "starting_urls": "https://site0.example.gov/p0.html", "depth_limit": 2},
+                {"name": "job b", "allowed_domains": "site1.example.gov",
+                 "starting_urls": "https://site1.example.gov/p0.html", "depth_limit": 2},
+                {"name": "job c", "allowed_domains": "site0.example.gov,site1.example.gov",
+                 "starting_urls": "https://site0.example.gov/p0.html,https://site1.example.gov/p0.html"},
+            ]
+        )
+        actor_ids: set[str] = set()
+        make_shard_pool = frontier.make_shard_pool
+
+        def recorded(*args):
+            shards = make_shard_pool(*args)
+            actor_ids.update(h._actor_id.hex() for h in shards)
+            return shards
+
+        monkeypatch.setattr(frontier, "make_shard_pool", recorded)
+        cfg = CrawlConfig(round_seconds=100.0, num_shards=2)
+        results = JobScheduler(sites, sched_corpus, tmp_path, cfg).run_pending()
+        assert len(results) == 3
+        assert len(actor_ids) == cfg.num_shards
+
+        corpus = load_corpus_dict(pq.read_table(sched_corpus / "corpus_pages.parquet"))
+        robots = RobotsRules.from_table(pq.read_table(sched_corpus / "robots.parquet"))
+        images = pq.read_table(sched_corpus / "corpus_images.parquet").to_pylist()
+        captions = {r["image_id"]: r["caption"] for r in images}
+        for site, res in zip(sites.sites, results):
+            sim = simulate_crawl(site, corpus, robots, captions, round_seconds=100.0)
+            assert res.job_id == site.job_id
+            assert res.fetched == len(sim.order)
+            assert res.seen == len(sim.seen)
+            order = frontier.read_order(tmp_path / site.job_id)
+            assert order["url"].tolist() == [u for _, u, _ in sim.order]
+            assert frontier.read_denied(tmp_path / site.job_id) == sim.denied
+
     def test_restart_reruns_interrupted_with_resume(self, sched_corpus, tmp_path):
         sites = self._sites(sched_corpus)
         cfg = CrawlConfig(round_seconds=100.0, num_shards=2)
