@@ -18,13 +18,14 @@ its stages through an executor:
   rows: a value is one driver-side Arrow table and a cheap kernel one
   direct call on it; the two payload stages (link chain, image landing)
   run as raw Ray tasks over table chunks. No streaming-executor launch.
-* :class:`_DatasetRound`, for any size: Ray Data. Cheap kernels chain
-  into one ``map_batches`` stage, per-block passes run as raw tasks on
-  materialized block refs, payload stages run after a ``repartition``.
-  Two scale branches live here: above ``politeness_driver_rows`` the
-  grant thresholds come from a pruned ``groupby(partition)`` exchange,
-  and above ``wide_round_rows`` novel rows the seq assignment is a
-  distributed ``sort(adm_key)``.
+* :class:`_DatasetRound`, for any size. Ray Data runs the per-row
+  work: the frontier read, the payload stages and the URL-seen router
+  (an execution costs 75–160 ms of process-tree CPU, a raw task ~6 ms);
+  cheap kernels, counts and the four sinks run as raw tasks on the
+  materialized block refs. Two scale branches live here:
+  above ``politeness_driver_rows`` the grant thresholds come from a
+  pruned ``groupby(partition)`` exchange, and above ``wide_round_rows``
+  novel rows the seq assignment is a distributed ``sort(adm_key)``.
 
 Ordering equivalence with the single-threaded simulator
 (pipelines/simulator.py — the pinned semantics) comes from explicit
@@ -53,6 +54,7 @@ import shutil
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -263,13 +265,14 @@ def _pack_admission(batch: pa.Table) -> pa.Table:
     return batch.append_column("adm_key", pa.array(key, type=pa.uint64()))
 
 
-def _assign_seq_wide(novel: rd.Dataset, depth_counters: dict[int, int]) -> rd.Dataset:
+def _assign_seq_wide(novel: rd.Dataset, depth_counters: dict[int, int]) -> tuple:
     """Distributed admission-order seq assignment for wide rounds:
     global ``sort(adm_key)``, per-block per-depth counts, driver-side
     cumulative bases (O(#blocks × #depths) rows), then per-block rank
     assignment against the broadcast base table — the block-level
-    prefix-sum form of _assign_seq_kernel."""
-    s = _drop_empty_blocks(novel.sort("adm_key").materialize())
+    prefix-sum form of _assign_seq_kernel. Returns a Dataset-executor
+    value whose blocks still have the rank assignment to run."""
+    s = _materialize(novel.sort("adm_key"))
 
     def summary(t: pa.Table) -> list[tuple[int, int, int]]:
         if len(t) == 0:
@@ -278,9 +281,9 @@ def _assign_seq_wide(novel: rd.Dataset, depth_counters: dict[int, int]) -> rd.Da
         bk = int(t["adm_key"].to_numpy().min())
         return [(bk, int(d), int(c)) for d, c in zip(vals, counts)]
 
-    rows = sorted(r for part in _map_block_refs(s, summary) for r in part)
+    rows = sorted(r for part in _block_results(s, summary) for r in part)
     if not rows:  # no novel rows this round (all dups)
-        return rd.from_arrow(_empty_frontier())
+        return _table_value(_empty_frontier())
     bases: dict[tuple[int, int], int] = {}
     run = dict(depth_counters)
     for bk, dd, cnt in rows:  # blocks in sort order, depths within each
@@ -307,7 +310,8 @@ def _assign_seq_wide(novel: rd.Dataset, depth_counters: dict[int, int]) -> rd.Da
             out = out.append_column("seq", pa.array(seq, type=pa.int64()))
             return out.select(FRONTIER_COLUMNS)
 
-    return s.map_batches(_Assign(), batch_format="pyarrow", batch_size=None)
+    ((refs, rows, _),) = s
+    return (_Part(refs, rows, (_Assign(),)),)
 
 
 def _assign_seq_kernel(batch: pa.Table, depth_counters: dict[int, int]) -> pa.Table:
@@ -372,11 +376,11 @@ def _strip_image_id(t: pa.Table) -> pa.Table:
     return t.drop_columns(["image_id"]) if "image_id" in t.column_names else t
 
 
-def _write_round(ds: rd.Dataset, base: Path, round_id: int) -> None:
+def _write_round(x: tuple, base: Path, round_id: int) -> None:
+    """Dataset-executor sink: one block task per block of ``x``."""
     # "round-" (not hive-style "round=") so readers don't collide the
     # directory partition with the materialized "round" column.
-    out = base / f"round-{round_id:04d}"
-    ds.write_parquet(str(out))
+    _write_blocks(x, base / f"round-{round_id:04d}")
 
 
 def _write_table_round(t: pa.Table, base: Path, round_id: int) -> None:
@@ -559,11 +563,6 @@ def _empty_frontier() -> pa.Table:
     return _FRONTIER_SCHEMA.empty_table()
 
 
-@ray.remote
-def _block_apply(fn, block):
-    return fn(block)
-
-
 # Deserialized table-executor payload kernels of this worker process,
 # keyed by the binary id of the ref each runner ray.puts once per job
 # (so a new runner never meets an older runner's kernel), most recently
@@ -594,49 +593,11 @@ def _warm_apply(boxed_ref: list, block):
     return _warm_kernel(boxed_ref)(block)
 
 
-def _map_block_refs(ds: rd.Dataset, fn):
-    """Run ``fn`` over each materialized block of ``ds`` as raw Ray
-    tasks on the block refs and return the results.
-
-    This is the no-executor path for tiny per-block metadata passes
-    (per-domain counts, per-block summaries): a full
-    ``map_batches(...).to_pandas()`` pays a streaming-executor
-    spin-up that measures ~200 ms at 32 CPUs (and grows with cluster
-    size) — ~10× the work itself. Blocks stay distributed; only
-    ``fn``'s (small) results come back to the driver."""
-    refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    # put the kernel ONCE — fn closures can carry the robots table
-    # (per-domain rules, potentially MBs at web scale), and a direct
-    # task argument would re-pickle it per block per round
-    fn_ref = ray.put(fn)
-    return ray.get([_block_apply.remote(fn_ref, b) for b in refs])
-
-
-def _drop_empty_blocks(ds: rd.Dataset) -> rd.Dataset:
-    """A materialized ``ds`` without its empty blocks (as it is when
-    every block is empty). Ray Data never calls a map stage on an empty
-    block: it emits a column-less block instead, and an operator whose
-    column-less block follows one with columns logs a schema warning."""
-    sizes = [(r, m.num_rows) for b in ds.iter_internal_ref_bundles() for r, m in b.blocks]
-    refs = [r for r, n in sizes if n]
-    return rd.from_arrow_refs(refs) if refs and len(refs) < len(sizes) else ds
-
-
-def _parquet_rows(path: Path) -> int:
-    """Row count of a written parquet directory from file metadata
-    (driver-side, no read of data pages, no Ray execution)."""
-    total = 0
-    for f in Path(path).glob("*.parquet"):
-        total += pq.ParquetFile(f).metadata.num_rows
-    return total
-
-
 class _Chain:
-    """Kernels applied in turn to one block: a Dataset-executor value
-    runs as one map_batches stage or one raw block task, so an empty
-    intermediate table keeps its columns."""
+    """Kernels applied in turn to one block: the pending kernels of a
+    Dataset-executor value run as one raw block task (or the router's
+    one map_batches stage), so an empty intermediate table keeps its
+    columns."""
 
     def __init__(self, fns: tuple):
         self.fns = fns
@@ -645,6 +606,101 @@ class _Chain:
         for fn in self.fns:
             t = fn(t)
         return t
+
+
+class _Part(NamedTuple):
+    """Blocks of a Dataset-executor value: materialized block refs, the
+    row count of each, and the kernels still to run on each of them. A
+    value is a tuple of parts (several after a concat)."""
+
+    refs: tuple
+    rows: tuple
+    fns: tuple = ()
+
+
+def _value(refs: list, rows: list) -> tuple:
+    """One-part value of materialized blocks without its empty blocks,
+    unless all are: then one stays, so the value keeps its columns."""
+    keep = [i for i, n in enumerate(rows) if n]
+    if not keep and rows:
+        keep = [0]
+    return (_Part(tuple(refs[i] for i in keep), tuple(rows[i] for i in keep)),)
+
+
+def _chained(x: tuple, *tail):
+    """(chain, block ref) of every block of ``x``: its part's kernels,
+    then ``tail``, put ONCE per part (kernels can carry the robots table,
+    which a direct task argument would re-pickle per block)."""
+    for p in x:
+        chain = ray.put(_Chain(p.fns + tail))
+        for ref in p.refs:
+            yield chain, ref
+
+
+@ray.remote
+def _block_apply(chain, block):
+    return chain(block)
+
+
+@ray.remote
+def _block_write(chain, block, path: str) -> int:
+    t = chain(block)
+    if len(t):
+        pq.write_table(t, path)
+    return len(t)
+
+
+def _block_results(x: tuple, *tail) -> list:
+    """Each block's pending kernels, then ``tail``, as raw tasks on the
+    block refs; only the (small) results come back to the driver."""
+    return ray.get([_block_apply.remote(c, ref) for c, ref in _chained(x, *tail)])
+
+
+def _with_rows(t: pa.Table) -> tuple:
+    return t, len(t)
+
+
+def _run_blocks(x: tuple) -> tuple:
+    """``x`` with its pending kernels run as raw tasks, as one part.
+    Only the row counts come back to the driver."""
+    if not any(p.fns for p in x):
+        return (_Part(sum((p.refs for p in x), ()), sum((p.rows for p in x), ())),)
+    run = _block_apply.options(num_returns=2)
+    pairs = [run.remote(c, ref) for c, ref in _chained(x, _with_rows)]
+    return _value([t for t, _ in pairs], ray.get([n for _, n in pairs]))
+
+
+def _write_blocks(x: tuple, out: Path) -> int:
+    """Write each non-empty block of ``x``, after its pending kernels,
+    from a block task to ``out/part-{i:06d}.parquet``: the index is the
+    block's place in ``x``, so a retried task overwrites its own file.
+    Returns the rows written."""
+    out.mkdir(parents=True, exist_ok=True)
+    tasks = [
+        _block_write.remote(c, ref, str(out / f"part-{i:06d}.parquet"))
+        for i, (c, ref) in enumerate(_chained(x))
+    ]
+    return sum(ray.get(tasks))
+
+
+def _materialize(ds: rd.Dataset) -> tuple:
+    """``ds`` materialized (one Ray Data execution) as a value."""
+    bundles = ds.materialize().iter_internal_ref_bundles()
+    blocks = [(ref, m.num_rows) for b in bundles for ref, m in b.blocks]
+    return _value([ref for ref, _ in blocks], [n for _, n in blocks])
+
+
+def _table_value(t: pa.Table) -> tuple:
+    """A driver-side table as a one-block value."""
+    return (_Part((ray.put(t),), (len(t),)),)
+
+
+def _dataset(x: tuple) -> rd.Dataset:
+    """The non-empty blocks of ``x``, its kernels run, as a Dataset. Ray
+    Data maps an empty block to a column-less one, and an operator whose
+    column-less block follows one with columns logs a schema warning."""
+    ((refs, rows, _),) = _run_blocks(x)
+    return rd.from_arrow_refs([ref for ref, n in zip(refs, rows) if n])
 
 
 class _TableRound:
@@ -708,9 +764,6 @@ class _TableRound:
         if t is not None:
             _write_table_round(t, base, k)
 
-    def result(self, t: pa.Table) -> pa.Table:
-        return t
-
     def exchange_thresholds(self, frontier, rows_in: int):
         return None
 
@@ -719,14 +772,16 @@ class _TableRound:
 
 
 class _DatasetRound:
-    """Round executor on Ray Data, for frontiers of any size. A value is
-    a driver-side table or a ``(dataset, kernels)`` pair: the kernels not
-    yet applied to the dataset's blocks (always a materialized one), run
-    as one :class:`_Chain` when the value is materialized, written or
-    read block by block. A materialized dataset keeps no empty block
-    unless all are (:func:`_drop_empty_blocks`), a repartition makes
-    none (:func:`_fan_out`), and a chain over an all-empty dataset runs
-    on the driver, so no map stage meets an empty block."""
+    """Round executor for frontiers of any size. Ray Data runs only the
+    frontier ``read_parquet``, the payload stages (``repartition`` +
+    ``map_batches``), the URL-seen router (its Ray Data task retries
+    replay through the shards' offer memo) and the two scale switches:
+    3 executions a round, 4 with images. An execution costs 75–160 ms
+    of process-tree CPU even on a trivial block, a raw task ~6 ms, so a
+    value is a tuple of :class:`_Part` and its kernel chains, counts and
+    sinks run as one raw task per block; tables stay in the object
+    store, and only row counts and small per-block results reach the
+    driver."""
 
     whole_table = False
     # stage → (rows per task, floor) of _fan_out. Sparse rounds touch
@@ -740,63 +795,53 @@ class _DatasetRound:
         cfg = runner.cfg
         self.batch_size = {"links": cfg.fetch_batch_size, "images": cfg.decode_batch_size}
 
-    def _dataset(self, x, batch_size: int | None = None) -> rd.Dataset:
-        if isinstance(x, pa.Table):
-            return rd.from_arrow(x)
-        ds, fns = x
-        if not fns:
-            return ds
-        if ds.count() == 0:
-            # every block is empty: run the chain on the driver, on an
-            # empty table with the dataset's columns
-            return rd.from_arrow(_Chain(fns)(ds.schema().base_schema.empty_table()))
-        return ds.map_batches(_Chain(fns), batch_format="pyarrow", batch_size=batch_size)
-
-    def read(self, k: int):
-        return self.materialize((rd.read_parquet(str(self.runner.ckpt.frontier_dir(k))), ()))
+    def read(self, k: int) -> tuple:
+        return _materialize(rd.read_parquet(str(self.runner.ckpt.frontier_dir(k))))
 
     def share(self, obj):
         return ray.put(obj)
 
     def blocks(self, x, fn) -> list:
-        if isinstance(x, pa.Table):
-            return [fn(x)]
-        ds, fns = x
-        return _map_block_refs(ds, _Chain(fns + (fn,)))
+        return [fn(x)] if isinstance(x, pa.Table) else _block_results(x, fn)
 
-    def map(self, x, fn):
-        ds, fns = x
-        return ds, fns + (fn,)
+    def map(self, x: tuple, fn) -> tuple:
+        return tuple(p._replace(fns=p.fns + (fn,)) for p in x)
 
-    def payload(self, x, stage: str, rows: int):
+    def payload(self, x: tuple, stage: str, rows: int) -> tuple:
         n = _fan_out(rows, *self.quota[stage], self.slots)
-        ds = self._dataset(x).repartition(n).map_batches(
-            self.runner._kernels[stage],
-            batch_format="pyarrow",
-            batch_size=self.batch_size[stage],
+        return _materialize(
+            _dataset(x).repartition(n).map_batches(
+                self.runner._kernels[stage],
+                batch_format="pyarrow",
+                batch_size=self.batch_size[stage],
+            )
         )
-        return ds, ()
 
-    def materialize(self, x, batch_size: int | None = None):
-        return _drop_empty_blocks(self._dataset(x, batch_size).materialize()), ()
+    def materialize(self, x: tuple, batch_size: int | None = None) -> tuple:
+        """Run the pending kernels of ``x``: as raw block tasks, or, given
+        a ``batch_size`` (the URL-seen router's), as one ``map_batches``
+        stage over batches of that size."""
+        if batch_size is None:
+            return _run_blocks(x)
+        ((refs, rows, fns),) = x
+        return _materialize(
+            _dataset((_Part(refs, rows),)).map_batches(
+                _Chain(fns), batch_format="pyarrow", batch_size=batch_size
+            )
+        )
 
-    def count(self, x) -> int:
-        return 0 if x is None else x[0].count()
+    def count(self, x: tuple | None) -> int:
+        return 0 if x is None else sum(_run_blocks(x)[0].rows)
 
-    def table(self, x) -> pa.Table:
-        ds, fns = x
-        parts = [t for t in _map_block_refs(ds, _Chain(fns)) if len(t)]
+    def table(self, x: tuple) -> pa.Table:
+        parts = [t for t in _block_results(x) if len(t)]
         return pa.concat_tables(parts).combine_chunks() if parts else pa.table({})
 
-    def concat(self, xs: list):
-        first, *rest = [self._dataset(x) for x in xs]
-        return (first.union(*rest) if rest else first), ()
+    def concat(self, xs: list) -> tuple:
+        return sum((_table_value(x) if isinstance(x, pa.Table) else x for x in xs), ())
 
-    def write(self, x, base: Path, k: int) -> None:
-        _write_round(self._dataset(x), base, k)
-
-    def result(self, x) -> rd.Dataset:
-        return self._dataset(x)
+    def write(self, x: tuple, base: Path, k: int) -> None:
+        _write_round(x, base, k)
 
     def exchange_thresholds(self, frontier, rows_in: int):
         """Grant thresholds of a frontier above ``politeness_driver_rows``
@@ -824,7 +869,7 @@ class _DatasetRound:
 
         pruned = self.map(frontier, prune_grant_candidates(robots, cfg.round_seconds))
         thr_tab = (
-            self._dataset(self.map(pruned, add_part))
+            _dataset(self.map(pruned, add_part))
             .groupby("part")
             .map_groups(
                 partition_grant_thresholds(robots, cfg.round_seconds), batch_format="pyarrow"
@@ -841,7 +886,7 @@ class _DatasetRound:
         ``None`` for narrower rounds."""
         if sum(self.blocks(novel, len)) <= self.runner.cfg.wide_round_rows:
             return None
-        return self.materialize((_assign_seq_wide(self._dataset(novel), depth_counters), ()))
+        return _assign_seq_wide(_dataset(novel), depth_counters)
 
 
 class CrawlJobRunner:
@@ -981,7 +1026,7 @@ class CrawlJobRunner:
         }
         return pa.table(frontier, schema=_FRONTIER_SCHEMA), denied
 
-    def _write_checkpoint(self, k: int, frontier: rd.Dataset | pa.Table, manifest_extra: dict) -> int:
+    def _write_checkpoint(self, k: int, frontier: tuple | pa.Table, manifest_extra: dict) -> int:
         fdir = self.ckpt.frontier_dir(k)
         fdir.mkdir(parents=True, exist_ok=True)
         if isinstance(frontier, pa.Table):
@@ -989,10 +1034,7 @@ class CrawlJobRunner:
             n_rows = frontier.num_rows
             self._frontier_stash = (k, frontier)
         else:
-            frontier.write_parquet(str(fdir))
-            # row count from the written files' footers — a count() on
-            # the lazy union would re-run its whole lineage
-            n_rows = _parquet_rows(fdir)
+            n_rows = _write_blocks(frontier, fdir)
         # checkpoint k is taken after round k - 1's last offer
         shard_sizes = dump_shards(self.shards, self.ckpt.shards_dir(k), k - 1)
         manifest = {
@@ -1245,7 +1287,7 @@ class CrawlJobRunner:
                 self.depth_counters[d] = self.depth_counters.get(d, 0) + c
             next_parts.append(new)
 
-        next_frontier = ex.result(ex.concat(next_parts))
+        next_frontier = ex.concat(next_parts)
         self._write_checkpoint(k + 1, next_frontier, {"granted": spent, "fetched": n_fetched})
         return n_fetched
 
