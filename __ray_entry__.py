@@ -42,7 +42,7 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     """One entry per implemented operator/pipeline from SURVEY.md §2 +
-    the training-data additions (dedup / ANN / text analysis)."""
+    the training-data additions (dedup / text analysis)."""
     return dict(QUERIES)
 
 
@@ -51,6 +51,6 @@ def oracle_sql() -> dict[str, str]:
     includes bit-exact integer-arithmetic replays of MinHash/SimHash
     near-dup, dup clustering, fingerprints, lang-ID, stratified
     sampling, and the composed curation pipeline. Only the stateful
-    crawl/multimodal/monitor entries are omitted (rows-only check;
+    crawl/image/monitor entries are omitted (rows-only check;
     pytest pins their semantics against fixtures/simulator)."""
     return dict(ORACLES)

@@ -239,11 +239,8 @@ def run_query_bench() -> dict[str, float]:
         "doc_curation_pipeline",
         "doc_top_terms",
         "doc_pack_windows",
-        "ann_topk_brute",
-        "ann_topk_ivf",
         # round-3 late-wave training-data flagships
         "doc_bpe_pair_counts",
-        "embedding_pq_codes",
         "doc_unigram_perplexity",
         "doc_containment_near_dup",
         # round-3 retrieval/drift wave (the image-axis queries run over
@@ -253,13 +250,11 @@ def run_query_bench() -> dict[str, float]:
         "doc_ks_drift",
         # DSIR importance weighting (hashed-unigram two-pass flagship)
         "doc_dsir_weights",
-        # session-3 late wave: curriculum NTILE, kNN auto-labeling
+        # curriculum NTILE
         "doc_curriculum_manifest",
-        "embedding_knn_classify",
-        # round-4 wave: RAG chunk expansion, Gopher gates, ANN recall eval
+        # RAG chunk expansion, Gopher gates
         "doc_chunk_overlap",
         "doc_gopher_quality_gates",
-        "ann_recall_eval",
     ]
     for name in bench_queries:
         t0 = time.time()
@@ -295,15 +290,13 @@ def main() -> None:
     ctx.enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    # warm the page cache: one untimed read of the sf tables
+    # warm the page cache: one untimed read of the sf table the queries read
     import pyarrow.parquet as pq
 
-    for t in ("documents", "embeddings"):
-        pq.read_table(f"{SF_DIR}/{t}.parquet")
+    pq.read_table(f"{SF_DIR}/documents.parquet")
 
     # warm the Ray worker pool (cold process spin-up is a fixed cost
     # that lands on round 0 otherwise; a real long-lived cluster is warm)
-    import numpy as _np
     import ray.data as _rd
 
     _rd.range(NUM_CPUS * 4, override_num_blocks=NUM_CPUS * 4).map_batches(

@@ -11,11 +11,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import duckdb
-import numpy as np
 import pandas as pd
 import ray
 
-TABLES = ["documents", "embeddings"]
+TABLES = ["documents"]
 
 
 def to_pandas(result) -> pd.DataFrame:

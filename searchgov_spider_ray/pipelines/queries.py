@@ -5,9 +5,8 @@ Dataset / DataFrame / Table; ``ORACLES`` holds the matching DuckDB SQL
 The entries cover what a crawl produces and what is done with it next:
 HTML parsing and sitemap diffs, document dedup (exact, MinHash, SimHash,
 passage, n-gram), text statistics and training-data sampling/packing,
-embedding ANN/kNN, and the rows-only crawl, image and multimodal
-pipelines (no SQL equivalent; pytest pins them against fixtures and the
-simulator).
+and the rows-only crawl, image and sitemap-monitor pipelines (no SQL
+equivalent; pytest pins them against fixtures and the simulator).
 
 Float discipline: every float aggregate is converted to fixed-point
 PER ROW (``floor(x*scale + 0.5)`` — identical IEEE double arithmetic in
@@ -55,24 +54,6 @@ def _read(sf_dir: str, name: str, columns: list[str] | None = None) -> rd.Datase
     return rd.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns).map_batches(
         _strip_meta, batch_format="pyarrow"
     )
-
-
-_DIM_DIRECT_ROWS = 5_000_000
-
-
-def _read_dim(sf_dir: str, name: str, columns: list[str]) -> pd.DataFrame:
-    """Catalog-dimension read for driver-side broadcast prep: below
-    ``_DIM_DIRECT_ROWS`` (decided from the parquet FOOTER, no scan)
-    read the file directly into pandas — a chain of four or five
-    dimension ``.to_pandas()`` executions pays more in sequential
-    executor spin-ups than the reads themselves; at or above the
-    threshold, the distributed Ray read path."""
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(f"{sf_dir}/{name}.parquet")
-    if pf.metadata.num_rows < _DIM_DIRECT_ROWS:
-        return pf.read(columns=columns).to_pandas()
-    return _read(sf_dir, name, columns).to_pandas()
 
 
 def _micros(x: np.ndarray | pd.Series) -> np.ndarray:
@@ -959,20 +940,6 @@ def doc_pack_windows(sf_dir: str):
     return pack_windows(ds, capacity=512)
 
 
-def embedding_cluster_assign(sf_dir: str):
-    """Semantic bucketing: assign every embedding to the nearest of 8
-    fixed centroids (the vectors with vec_id < 8) by cosine — the
-    data-mixing / semantic-dedup partition key. One broadcast (8×d
-    matrix via ray.put), one GEMM-argmax per batch, zero shuffles;
-    ties break to the lowest centroid id on both sides. Output keeps
-    only integer columns so the driver hash is float-free (same
-    discipline as the ANN oracles)."""
-    from .training import centroid_assign
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return centroid_assign(ds, centroid_ids=list(range(8)))
-
-
 def doc_global_shuffle(sf_dir: str):
     """Deterministic global shuffle of the corpus (training.
     global_shuffle_rank): contiguous 0..n-1 epoch order in avalanche-
@@ -1275,171 +1242,6 @@ def doc_char_entropy(sf_dir: str):
         return pd.concat(parts, ignore_index=True)
 
     return ds.map_batches(kernel, batch_format="pandas")
-
-
-def embedding_quantize_int8(sf_dir: str):
-    """Per-dimension min/max int8 quantization of the embedding matrix
-    — the compression step in front of every vector store. Pass 1
-    reduces each batch to 64 (dim, min, max) rows merged by a tiny
-    groupby; pass 2 broadcasts the 64 scale pairs and quantizes each
-    batch with one vectorized expression. Min/max carry no arithmetic
-    and the quantize chain is correctly-rounded IEEE mirrored verbatim
-    in SQL, so q is bit-exact. Emits the flat (vec_id, i, q) table."""
-    from ray.data.aggregate import Max as _Max
-
-    from .training import _as_matrix
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def mm_partial(t: pa.Table) -> pa.Table:
-        mat = _as_matrix(t["embedding"])
-        d = mat.shape[1]
-        return pa.table(
-            {
-                "i": pa.array(np.arange(d, dtype=np.int64)),
-                "mn": pa.array(mat.min(axis=0)),
-                "mx": pa.array(mat.max(axis=0)),
-            }
-        )
-
-    mm = (
-        ds.map_batches(mm_partial, batch_format="pyarrow")
-        .groupby("i")
-        .aggregate(Min("mn"), _Max("mx"))
-        .to_pandas()
-        .sort_values("i")
-    )
-    mn = mm["min(mn)"].to_numpy(np.float64)
-    mx = mm["max(mx)"].to_numpy(np.float64)
-    scale_ref = ray.put((mn, mx))
-
-    def quant(t: pa.Table) -> pd.DataFrame:
-        lo, hi = ray.get(scale_ref)
-        mat = _as_matrix(t["embedding"])
-        n, d = mat.shape
-        span = hi - lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.floor(((mat - lo) * 255.0) / span + 0.5)
-        q = np.where(span == 0.0, 0.0, q).astype(np.int64)
-        return pd.DataFrame(
-            {
-                "vec_id": np.repeat(t["vec_id"].to_numpy(), d),
-                "i": np.tile(np.arange(d, dtype=np.int64), n),
-                "q": q.ravel(),
-            }
-        )
-
-    return ds.map_batches(quant, batch_format="pyarrow")
-
-
-def embedding_knn_classify(
-    sf_dir: str,
-    k: int = 5,
-    broadcast_rows: int = 2_000_000,
-    chunk_rows: int | None = None,
-):
-    """k-NN label classification over the embeddings table — the
-    label-propagation / auto-labeling primitive: every vector's
-    predicted label is the mode of its 5 exact cosine neighbors'
-    labels (ties by smallest label), compared against its true label.
-    Composes the verified knn_self_join (broadcast-GEMM below
-    ``broadcast_rows``, exact chunked-broadcast scan above — both
-    complete per-row top-k) with a broadcast (vec_id → label) array;
-    the vote runs inside a coarse 64-way query_id partition (every
-    query's k rows co-locate), so nothing per-key touches the
-    exchange."""
-    from ..functions.simdedup import hash_part
-    from .training import knn_self_join
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    nn = knn_self_join(ds, k=k, broadcast_rows=broadcast_rows, chunk_rows=chunk_rows)
-    labels = _read_dim(sf_dir, "embeddings", ["vec_id", "label"])
-    lk = np.sort(labels["vec_id"].to_numpy(np.int64))
-    lv = labels.set_index("vec_id").loc[lk, "label"].to_numpy(np.int64)
-    lab_ref = ray.put((lk, lv))
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = hash_part(df["query_id"].to_numpy(np.int64), 64).astype(np.int64)
-        return df
-
-    def vote(g: pd.DataFrame) -> pd.DataFrame:
-        keys, vals = ray.get(lab_ref)
-        nlab = vals[np.searchsorted(keys, g["neighbor_id"].to_numpy(np.int64))]
-        v = pd.DataFrame({"query_id": g["query_id"].to_numpy(np.int64), "nlabel": nlab})
-        c = v.groupby(["query_id", "nlabel"], as_index=False).agg(c=("nlabel", "size"))
-        c = c.sort_values(["query_id", "c", "nlabel"], ascending=[True, False, True])
-        pred = c.drop_duplicates("query_id")
-        true = vals[np.searchsorted(keys, pred["query_id"].to_numpy(np.int64))]
-        return pd.DataFrame(
-            {
-                "vec_id": pred["query_id"].to_numpy(np.int64),
-                "label": true,
-                "pred_label": pred["nlabel"].to_numpy(np.int64),
-                "correct": (pred["nlabel"].to_numpy(np.int64) == true).astype(np.int64),
-            }
-        )
-
-    return (
-        nn.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(vote, batch_format="pandas")
-    )
-
-
-def embedding_cluster_purity(sf_dir: str):
-    """Clustering-quality evaluation: label purity per semantic
-    bucket — for each of embedding_cluster_assign's 8 clusters, the
-    majority true label, its count, cluster size, and exact integer
-    purity (majority·1e6 // n). Per-batch (cluster, label) count
-    partials bound the combine at 8×|labels| rows."""
-    from .training import centroid_assign
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    assigned = centroid_assign(ds, centroid_ids=list(range(8)))
-    labels = _read_dim(sf_dir, "embeddings", ["vec_id", "label"])
-    lk = np.sort(labels["vec_id"].to_numpy(np.int64))
-    lv = labels.set_index("vec_id").loc[lk, "label"].to_numpy(np.int64)
-    lab_ref = ray.put((lk, lv))
-
-    class _Counts:
-        def __init__(self):
-            self._b = None
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            if self._b is None:
-                self._b = ray.get(lab_ref)
-            keys, vals = self._b
-            lab = vals[np.searchsorted(keys, df["vec_id"].to_numpy(np.int64))]
-            g = pd.DataFrame(
-                {"cluster_id": df["cluster_id"].to_numpy(np.int64), "label": lab}
-            )
-            return g.groupby(["cluster_id", "label"], as_index=False).agg(
-                c=("label", "size")
-            )
-
-    counts = (
-        assigned.map_batches(_Counts(), batch_format="pandas")
-        .to_pandas()
-        .groupby(["cluster_id", "label"], as_index=False)
-        .agg(c=("c", "sum"))
-    )
-    n = counts.groupby("cluster_id", as_index=False).agg(n=("c", "sum"))
-    top = counts.sort_values(
-        ["cluster_id", "c", "label"], ascending=[True, False, True]
-    ).drop_duplicates("cluster_id")
-    out = top.merge(n, on="cluster_id")
-    return pd.DataFrame(
-        {
-            "cluster_id": out["cluster_id"].to_numpy(np.int64),
-            "majority_label": out["label"].to_numpy(np.int64),
-            "majority_n": out["c"].to_numpy(np.int64),
-            "n": out["n"].to_numpy(np.int64),
-            "purity_ppm": (
-                out["c"].to_numpy(np.int64) * 1_000_000 // out["n"].to_numpy(np.int64)
-            ).astype(np.int64),
-        }
-    )
 
 
 CHUNK_WINDOW = 128
@@ -1986,55 +1788,6 @@ def doc_bpe_pair_counts(sf_dir: str, min_count: int = 20):
     )
 
 
-_PQ_SUBS, _PQ_SUBDIM, _PQ_CODES = 8, 8, 16
-
-
-def embedding_pq_codes(sf_dir: str):
-    """Product-quantization code assignment — the vector-compression
-    workhorse under every large ANN index: each vector's 8 contiguous
-    8-dim subvectors map to the nearest of 16 codebook entries
-    (deterministic codebook: the subvectors of vec_id 0..15, the same
-    first-N convention as the IVF fallback). The codebook is one tiny
-    broadcast; assignment is a vectorized argmin per batch with the
-    8-term squared-L2 accumulated in FIXED dim order so the SQL replay
-    (explicit per-dim expansion, left-associated) lands the same
-    doubles; ties break to the smallest code on both sides."""
-    from .training import _as_matrix
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    first = (
-        ds.map_batches(
-            lambda t: t.filter(pc.less(t["vec_id"], pa.scalar(_PQ_CODES))),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-        .sort_values("vec_id")
-    )
-    cb = np.asarray([np.asarray(v, dtype=np.float64) for v in first["embedding"]])
-    cb_ref = ray.put(cb)  # (16, 64)
-
-    def assign(t: pa.Table) -> pd.DataFrame:
-        codes = ray.get(cb_ref)
-        mat = _as_matrix(t["embedding"])  # (n, 64) float64
-        n = len(mat)
-        out_vec = np.repeat(t["vec_id"].to_numpy(), _PQ_SUBS)
-        out_sub = np.tile(np.arange(_PQ_SUBS, dtype=np.int64), n)
-        out_code = np.empty(n * _PQ_SUBS, dtype=np.int64)
-        for s in range(_PQ_SUBS):
-            lo = s * _PQ_SUBDIM
-            v = mat[:, lo : lo + _PQ_SUBDIM]  # (n, 8)
-            c = codes[:, lo : lo + _PQ_SUBDIM]  # (16, 8)
-            d0 = v[:, None, 0] - c[None, :, 0]
-            dist = d0 * d0
-            for k in range(1, _PQ_SUBDIM):  # fixed dim order = SQL's chain
-                dk = v[:, None, k] - c[None, :, k]
-                dist = dist + dk * dk
-            out_code[s::_PQ_SUBS] = np.argmin(dist, axis=1)  # first min = code tiebreak
-        return pd.DataFrame({"vec_id": out_vec, "sub": out_sub, "code": out_code})
-
-    return ds.map_batches(assign, batch_format="pyarrow")
-
-
 def doc_lang_confusion(sf_dir: str):
     """Label-vs-prediction confusion matrix for the trigram language
     identifier — the data-quality audit that decides whether lang
@@ -2217,64 +1970,6 @@ def doc_sample_by_plan(sf_dir: str):
     return ds.map_batches(kernel, batch_format="pandas")
 
 
-def embedding_covariance(sf_dir: str):
-    """Distributed covariance of the embedding matrix — the building
-    block under PCA / whitening / mahalanobis outlier scoring, done the
-    only way that scales: each batch contributes ONE exact int64 d×d
-    Gram partial (Xᵀ X over millis-quantized values — a single integer
-    GEMM per batch) plus per-dimension sums; partials merge by
-    addition (d²+d rows total, never the corpus), and the driver emits
-    the upper triangle of the scaled covariance numerator
-    n·Σxy − Σx·Σy as exact integers. The SQL oracle replays the
-    quantization and both moment sums bit-for-bit (everything stays
-    integer; DuckDB's HUGEINT sums are cast down after the exact
-    multiply). Quantization to 1e-3 keeps every moment far inside
-    int64 through sf1 (|x| ≤ 0.53 ⇒ Σxy ≤ 2.8e5·n)."""
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    from .training import _as_matrix
-
-    def gram_partial(t: pa.Table) -> pa.Table:
-        mat = _as_matrix(t["embedding"])
-        q = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
-        d = q.shape[1]
-        g = q.T @ q  # exact int64 GEMM
-        iu, ju = np.triu_indices(d)
-        sx = q.sum(axis=0)
-        # pair rows (i, j, sxy, 0, 0) + moment rows (i, -1, 0, sx, n)
-        return pa.table(
-            {
-                "i": pa.array(np.concatenate([iu, np.arange(d)])),
-                "j": pa.array(np.concatenate([ju, np.full(d, -1, dtype=np.int64)])),
-                "sxy": pa.array(np.concatenate([g[iu, ju], np.zeros(d, dtype=np.int64)])),
-                "sx": pa.array(np.concatenate([np.zeros(len(iu), dtype=np.int64), sx])),
-                "nn": pa.array(
-                    np.concatenate(
-                        [np.zeros(len(iu), dtype=np.int64),
-                         np.full(d, len(q), dtype=np.int64)]
-                    )
-                ),
-            }
-        )
-
-    agg = _combine_partials(
-        ds.map_batches(gram_partial, batch_format="pyarrow"),
-        ["i", "j"],
-        ["sxy", "sx", "nn"],
-    ).to_pandas()
-    mom = agg[agg["j"] == -1].set_index("i")
-    n = int(mom["nn"].iloc[0])
-    sx = mom["sx"]
-    pairs = agg[agg["j"] >= 0].copy()
-    pairs["cov_num"] = (
-        n * pairs["sxy"].to_numpy(np.int64)
-        - sx.loc[pairs["i"]].to_numpy(np.int64) * sx.loc[pairs["j"]].to_numpy(np.int64)
-    )
-    out = pairs[["i", "j", "cov_num"]].sort_values(["i", "j"]).reset_index(drop=True)
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
 def doc_shuffled_pack(sf_dir: str):
     """Epoch construction end-to-end: pack the corpus into 512-token
     context windows in DETERMINISTIC SHUFFLE order (training.
@@ -2311,115 +2006,6 @@ def doc_fingerprints_q(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-
-
-def ann_topk_brute(sf_dir: str):
-    from .training import ann_brute_topk
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = ann_brute_topk(ds, query_ids=[0, 1, 2, 3, 4], k=10)
-    return out.select_columns(["query_id", "neighbor_id"])
-
-
-def ann_topk_ivf(sf_dir: str):
-    """IVF ANN run with exhaustive probing (n_probe = n_centroids) so
-    the result is EXACT and DuckDB-oracle-checkable — the full IVF
-    machinery (centroid pick, coarse assignment, bucket filter, bucket
-    brute-force, top-k merge) still executes; pytest pins the
-    approximate (n_probe < n_centroids) recall behavior separately."""
-    from .training import ann_ivf_topk
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = ann_ivf_topk(ds, query_ids=[0, 1, 2, 3, 4], k=10, n_centroids=16, n_probe=16)
-    return out.select_columns(["query_id", "neighbor_id"])
-
-
-def ann_recall_eval(sf_dir: str, k: int = 10, n_centroids: int = 8, n_probe: int = 1):
-    """ANN quality evaluation — recall@k of a genuinely APPROXIMATE
-    IVF run (n_probe=1 of 8 buckets, deterministic first-n centroids —
-    measures ~92-94% recall on the fixtures, a real approximation)
-    against the exact brute-force top-k, the ann-side analog of
-    doc_minhash_eval's precision/recall row. Both sides run the
-    verified distributed operators; the summary is one driver row
-    (n_queries, k, brute_rows, hits, recall_ppm — exact integer ppm).
-    First-n centroids (not k-means) keep the ENTIRE pipeline —
-    assignment, probe choice, bucket scan, tie rules — SQL-replayable,
-    so the oracle pins the approximate path end-to-end, not just the
-    exact fallback."""
-    from .training import ann_brute_topk, ann_ivf_topk
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qids = [0, 1, 2, 3, 4]
-    brute = (
-        ann_brute_topk(ds, query_ids=qids, k=k)
-        .select_columns(["query_id", "neighbor_id"])
-        .to_pandas()
-    )
-    ivf = (
-        ann_ivf_topk(
-            ds,
-            query_ids=qids,
-            k=k,
-            n_centroids=n_centroids,
-            n_probe=n_probe,
-            centroids="first",
-        )
-        .select_columns(["query_id", "neighbor_id"])
-        .to_pandas()
-    )
-    hits = len(brute.merge(ivf, on=["query_id", "neighbor_id"]))
-    denom = max(len(brute), 1)
-    return pd.DataFrame(
-        {
-            "n_queries": np.array([len(qids)], dtype=np.int64),
-            "k": np.array([k], dtype=np.int64),
-            "brute_rows": np.array([len(brute)], dtype=np.int64),
-            "hits": np.array([hits], dtype=np.int64),
-            "recall_ppm": np.array([hits * 1_000_000 // denom], dtype=np.int64),
-        }
-    )
-
-
-def _embeddings_with_clones(sf_dir: str) -> rd.Dataset:
-    """embeddings ∪ deterministic planted near-dups: every vec_id
-    divisible by 20 gets a clone (vec_id + 100000) scaled by 2.0 —
-    cosine exactly 1.0 against its original, and scaling preserves
-    every hyperplane sign, so LSH recall is guaranteed. The base table
-    has NO pairs above cosine 0.52 (checked), so planting is required
-    to make the near-dup operator testable; the SQL oracle derives the
-    identical union via list_transform."""
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def clones(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t["vec_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        sub = t.filter(pa.array((ids % 20) == 0))
-        emb = sub["embedding"].combine_chunks()
-        scaled = pa.ListArray.from_arrays(
-            emb.offsets, pc.multiply(emb.values, pa.scalar(2.0, type=emb.type.value_type))
-        )
-        return pa.table(
-            {"vec_id": pc.add(pc.cast(sub["vec_id"], pa.int64()), pa.scalar(100000, type=pa.int64())), "embedding": scaled}
-        )
-
-    base = ds.map_batches(
-        lambda t: pa.table(
-            {"vec_id": pc.cast(t["vec_id"], pa.int64()), "embedding": t["embedding"]}
-        ),
-        batch_format="pyarrow",
-    )
-    return base.union(ds.map_batches(clones, batch_format="pyarrow"))
-
-
-def embedding_near_dups(sf_dir: str):
-    from .training import embedding_near_dup_pairs
-
-    ds = _embeddings_with_clones(sf_dir)
-    df = embedding_near_dup_pairs(ds, threshold=0.95, n_tables=4).to_pandas()
-    if df.empty:
-        return pd.DataFrame(
-            {"vec_a": pd.Series([], dtype="int64"), "vec_b": pd.Series([], dtype="int64")}
-        )
-    return df[["vec_a", "vec_b"]].astype("int64").sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
 
 
 class _DigitCountStep:
@@ -2553,22 +2139,6 @@ def doc_inverted_index(sf_dir: str, min_df: int = 20):
     )
 
 
-def embedding_knn_join(
-    sf_dir: str, broadcast_rows: int = 2_000_000, chunk_rows: int | None = None
-):
-    """Exact cosine 3-NN self-join over the embeddings table — the
-    semantic-dedup primitive (training.knn_self_join): every vector's
-    top-3 neighbors, self excluded, ties by neighbor_id. One broadcast
-    GEMM pass, no merge shuffle below ``broadcast_rows``; above it the
-    chunked-broadcast scan streams each batch through per-chunk GEMMs
-    with a running vectorized top-k merge — still exact (forced-wide
-    oracle-hash parity pinned in tests)."""
-    from .training import knn_self_join
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return knn_self_join(ds, k=3, broadcast_rows=broadcast_rows, chunk_rows=chunk_rows)
-
-
 # --------------------------------------------------------------------------
 # crawl-surface queries (the flagship; rows-only — no SQL equivalent)
 # --------------------------------------------------------------------------
@@ -2582,7 +2152,6 @@ _TMP_CACHE_PREFIXES = (
     "searchgov_ray_query_sitemap_monitor",
     "searchgov_ray_bench_corpus",
     "smoke_corpus",
-    "knn_chunks_",  # knn_self_join wide-path chunk spill (training.py)
 )
 _TMP_CACHE_AGE_SECONDS = 48 * 3600
 
@@ -2837,78 +2406,6 @@ def sitemap_monitor_q(sf_dir: str):
         df[["url", "doc_id", "depth"]].sort_values("url").reset_index(drop=True)
         if len(df)
         else pd.DataFrame({"url": pd.Series([], dtype="object"), "doc_id": pd.Series([], dtype="object"), "depth": pd.Series([], dtype="int32")})
-    )
-
-
-def _synthetic_audio_rows(n: int) -> pa.Table:
-    """Deterministic PCM blobs (seeded sine mixes) — the audio payload
-    fixture; real decoding is stubbed (RealAudioCodec), the Ray-side
-    plumbing under test is real."""
-    from ..stages.multimodal import fake_audio_encode
-
-    ids, blobs = [], []
-    rate = 8000
-    t = np.arange(rate, dtype=np.float64) / rate  # 1 s
-    for i in range(n):
-        f0 = 110.0 + 37.0 * i
-        wave = 0.5 * np.sin(2 * np.pi * f0 * t) + 0.25 * np.sin(2 * np.pi * 2 * f0 * t)
-        samples = (wave * 20000).astype(np.int16)
-        ids.append(f"aud{i:03d}")
-        blobs.append(fake_audio_encode(samples, rate))
-    return pa.table(
-        {"audio_id": pa.array(ids, type=pa.string()), "bytes": pa.array(blobs, type=pa.large_binary())}
-    )
-
-
-def multimodal_audio_pipeline(sf_dir: str):
-    """Audio feature extraction (stages/multimodal.py AudioFeatures):
-    PCM rows → per-window RMS/ZCR on an actor-shaped stage; rows-only —
-    kernel math pinned by tests/test_multimodal.py."""
-    from ..stages.multimodal import AudioFeatures
-
-    ds = rd.from_arrow(_synthetic_audio_rows(12))
-    out = ds.map_batches(AudioFeatures(window_s=0.25), batch_format="pyarrow", batch_size=4)
-    df = out.to_pandas()
-    return pd.DataFrame(
-        {
-            "audio_id": df["audio_id"],
-            "duration_us": (df["duration_s"] * 1e6 + 0.5).astype("int64"),
-            "n_windows": df["rms"].map(len).astype("int64"),
-            "mean_rms_micros": df["rms"].map(
-                lambda r: int(np.floor(float(np.mean(r)) * 1e6 + 0.5)) if len(r) else 0
-            ).astype("int64"),
-        }
-    ).sort_values("audio_id").reset_index(drop=True)
-
-
-def _synthetic_video_rows(n: int, n_frames: int = 25) -> pa.Table:
-    from ..stages.multimodal import fake_video_encode
-
-    ids, blobs = [], []
-    for i in range(n):
-        rng = np.random.RandomState(1000 + i)
-        frames = [rng.randint(0, 255, size=(8, 8, 3), dtype=np.uint8) for _ in range(n_frames)]
-        ids.append(f"vid{i:03d}")
-        blobs.append(fake_video_encode(frames))
-    return pa.table(
-        {"video_id": pa.array(ids, type=pa.string()), "bytes": pa.array(blobs, type=pa.large_binary())}
-    )
-
-
-def multimodal_video_pipeline(sf_dir: str):
-    """Video frame sampling (stages/multimodal.py VideoFrameSample):
-    every 10th frame exploded to image rows with phash; rows-only —
-    kernel math pinned by tests/test_multimodal.py."""
-    from ..stages.multimodal import VideoFrameSample
-
-    ds = rd.from_arrow(_synthetic_video_rows(5))
-    out = ds.map_batches(VideoFrameSample(stride=10), batch_format="pyarrow", batch_size=2)
-    df = out.to_pandas()
-    return (
-        df[["video_id", "frame_idx", "w", "h", "fmt"]]
-        .assign(frame_idx=lambda d: d["frame_idx"].astype("int64"))
-        .sort_values(["video_id", "frame_idx"])
-        .reset_index(drop=True)
     )
 
 
@@ -3379,10 +2876,9 @@ def image_hamming_topk(
     sf_dir: str, k: int = HAMMING_TOPK_K, query_mod: int = HAMMING_QUERY_MOD
 ):
     """Image similarity search: exact Hamming top-k over the stored
-    64-bit pHash column — the image-side analog of ann_topk_brute
-    (reverse-image / find-similar over a crawled corpus). Query set =
-    every image whose xxhash64(image_id) % query_mod == 0. Metadata-
-    only: bytes never read.
+    64-bit pHash column (reverse-image / find-similar over a crawled
+    corpus). Query set = every image whose xxhash64(image_id) %
+    query_mod == 0. Metadata-only: bytes never read.
 
     This is the BROADCAST path by construction (the brute baseline the
     banded path is parity-pinned against): the query table broadcasts
@@ -3453,10 +2949,9 @@ def _hot_band_salts(counts: pd.DataFrame, pair_budget: int) -> dict[int, int]:
 def image_hamming_topk_banded(
     sf_dir: str, k: int = HAMMING_TOPK_K, query_mod: int = HAMMING_QUERY_MOD
 ):
-    """The bucketed SCALE path for image similarity top-k, completing
-    the brute/bucketed pair the embedding side has (ann_topk_brute /
-    ann_topk_ivf). No query broadcast, no driver pair table, no
-    per-query Python:
+    """The bucketed SCALE path for image similarity top-k, the
+    partner of image_hamming_topk's broadcast path. No query broadcast,
+    no driver pair table, no per-query Python:
 
     Phase 1 — partitioned band join. Corpus AND query rows explode to
     (band_key = band_pos·2^16 | band_value) rows (4 per pHash — the
@@ -4229,12 +3724,8 @@ def doc_ks_drift(sf_dir: str):
 # registry
 # --------------------------------------------------------------------------
 
-# Ordering contract: the external driver samples the FIRST 50 keys of
-# this dict for its oracle-vs-engine correctness snapshot, so only
-# oracle-backed entries may lead (``_DRIVER_WINDOW`` below fixes the
-# order); the remaining oracle entries and the rows-only
-# crawl/image/multimodal/monitor entries follow. Every entry is equally
-# pinned by the pytest oracle suite regardless of position.
+# Registry order; the end of the module puts every oracle-backed entry
+# first (the driver's ordering contract).
 QUERIES = {
     "docparse_html": docparse_html_q,
     "sitemap_diff": sitemap_diff_q,
@@ -4251,11 +3742,6 @@ QUERIES = {
     "doc_decontaminate": doc_decontaminate,
     "doc_bow_dedup": doc_bow_dedup,
     "doc_ngram_jaccard": doc_ngram_jaccard,
-    "embedding_near_dups": embedding_near_dups,
-    "ann_topk_brute": ann_topk_brute,
-    "ann_topk_ivf": ann_topk_ivf,
-    "embedding_knn_join": embedding_knn_join,
-    "embedding_knn_classify": embedding_knn_classify,
     "doc_dsir_weights": doc_dsir_weights,
     "doc_dsir_sample": doc_dsir_sample,
     "doc_curriculum_manifest": doc_curriculum_manifest,
@@ -4279,21 +3765,16 @@ QUERIES = {
     "doc_length_histogram": doc_length_histogram,
     "lang_length_quantiles": lang_length_quantiles,
     "doc_length_percentiles": doc_length_percentiles,
-    "embedding_cluster_assign": embedding_cluster_assign,
     "doc_bm25_scores": doc_bm25_scores,
     "doc_bm25_topk": doc_bm25_topk,
     "doc_ks_drift": doc_ks_drift,
     "doc_feature_hash": doc_feature_hash,
     "doc_length_zscore": doc_length_zscore,
     "doc_char_entropy": doc_char_entropy,
-    "embedding_quantize_int8": embedding_quantize_int8,
     "doc_bpe_pack_windows": doc_bpe_pack_windows,
-    "embedding_cluster_purity": embedding_cluster_purity,
     "doc_bpe_tokenize": doc_bpe_tokenize,
-    "embedding_pq_codes": embedding_pq_codes,
     "doc_lang_confusion": doc_lang_confusion,
     "doc_unigram_perplexity": doc_unigram_perplexity,
-    "embedding_covariance": embedding_covariance,
     "doc_step_pipeline": doc_step_pipeline,
     "doc_inverted_index": doc_inverted_index,
     "crawl_order": crawl_order,
@@ -4309,83 +3790,14 @@ QUERIES = {
     "image_hamming_topk": image_hamming_topk,
     "image_hamming_topk_banded": image_hamming_topk_banded,
     "image_training_manifest": image_training_manifest,
-    "multimodal_audio_pipeline": multimodal_audio_pipeline,
-    "multimodal_video_pipeline": multimodal_video_pipeline,
     "sitemap_monitor": sitemap_monitor_q,
     "doc_chunk_overlap": doc_chunk_overlap,
     "doc_gopher_quality_gates": doc_gopher_quality_gates,
-    "ann_recall_eval": ann_recall_eval,
 }
-
-# Driver window: the external driver samples the FIRST 50 keys.
-# Positions 1–30 are the parity-critical head (doc parsing, sitemap
-# diff, lang-id, the dedup/MinHash family, the ANN/kNN family and the
-# training-data samplers). Positions 31–50 take the oracle-backed
-# entries with no driver receipt yet (the approximate-IVF recall eval,
-# BM25, drift, hashing, entropy, the embedding quantizers, ...) and then
-# the two whose last receipt is oldest. Every entry, in or out of the
-# window, stays pinned by the pytest oracle suite on every run.
-_DRIVER_WINDOW = [
-    "docparse_html",
-    "sitemap_diff",
-    "doc_lang_id",
-    "doc_minhash_near_dup",
-    "doc_minhash_eval",
-    "doc_dup_clusters",
-    "doc_curation_pipeline",
-    "doc_dedup_first",
-    "doc_dedup_summary",
-    "doc_simhash_near_dup",
-    "doc_containment_near_dup",
-    "doc_passage_dedup",
-    "doc_decontaminate",
-    "doc_bow_dedup",
-    "doc_ngram_jaccard",
-    "embedding_near_dups",
-    "ann_topk_brute",
-    "ann_topk_ivf",
-    "embedding_knn_join",
-    "embedding_knn_classify",
-    "doc_dsir_weights",
-    "doc_dsir_sample",
-    "doc_curriculum_manifest",
-    "doc_bpe_pair_counts",
-    "doc_global_shuffle",
-    "doc_pack_windows",
-    "doc_shuffled_pack",
-    "doc_sample_stratified",
-    "doc_quota_sample",
-    "doc_weighted_sample",
-    "ann_recall_eval",
-    "embedding_cluster_assign",
-    "doc_bm25_scores",
-    "doc_bm25_topk",
-    "doc_ks_drift",
-    "doc_feature_hash",
-    "doc_length_zscore",
-    "doc_char_entropy",
-    "embedding_quantize_int8",
-    "embedding_cluster_purity",
-    "embedding_pq_codes",
-    "doc_lang_confusion",
-    "doc_unigram_perplexity",
-    "embedding_covariance",
-    "doc_step_pipeline",
-    "doc_inverted_index",
-    "doc_chunk_overlap",
-    "doc_gopher_quality_gates",
-    "doc_length_percentiles",
-    "doc_length_histogram",
-]
-QUERIES = {
-    **{k: QUERIES[k] for k in _DRIVER_WINDOW},
-    **{k: v for k, v in QUERIES.items() if k not in frozenset(_DRIVER_WINDOW)},
-}
-assert list(QUERIES)[: len(_DRIVER_WINDOW)] == _DRIVER_WINDOW
 
 # KNOWN LATENT kernel↔oracle divergences (documented, not reachable by
 # the driver's synthetic fixtures; every other pair has been audited
-# side-by-side):
+# side-by-side). The numbers stay stable because ROADMAP cites them.
 # 1. Unicode lowercasing: Python str.lower() applies full case mapping
 #    while DuckDB lower() applies utf8proc's simple mapping — they
 #    differ on 'İ' (U+0130 → 'i'+combining-dot vs 'i') and ~40 newer
@@ -4393,12 +3805,6 @@ assert list(QUERIES)[: len(_DRIVER_WINDOW)] == _DRIVER_WINDOW
 #    lang-id grams, stopwords) IF text carries those codepoints. The
 #    principled fix is ASCII-only case folding on both sides; deferred
 #    because it changes operator semantics for all non-ASCII uppercase.
-# 2. Float cosine ranking (ann_topk_*, embedding_near_dups threshold):
-#    numpy blocked matmul and DuckDB list_cosine_similarity accumulate
-#    in different orders; neighbors whose true cosines differ by less
-#    than the rounding gap can swap at the top-k boundary. Fixtures
-#    keep scores well separated; an integer-exact cosine would need
-#    fixed-point vectors on both sides.
 # 3. 64-bit-hash pair kernels (doc_simhash_near_dup,
 #    image_phash_near_dup): band buckets beyond 200 members emit
 #    verified hub pairs (min-id star) instead of the O(n²) all-pairs
@@ -4624,59 +4030,6 @@ ORACLES = {
         JOIN sizes sb ON inter.doc_b = sb.doc_id
         WHERE CAST(isect AS DOUBLE) / CAST(sa.n + sb.n - isect AS DOUBLE) >= 0.5
     """,
-    # exact brute-force cosine top-k (ties broken by neighbor_id ASC,
-    # self-match excluded — mirrors training.ann_brute_topk)
-    "ann_topk_brute": """
-        WITH q AS (
-            SELECT vec_id AS query_id, embedding AS qv
-            FROM embeddings WHERE vec_id IN (0, 1, 2, 3, 4)
-        ),
-        scored AS (
-            SELECT q.query_id, e.vec_id AS neighbor_id,
-                   list_cosine_similarity(q.qv, e.embedding) AS sim
-            FROM q, embeddings e
-            WHERE e.vec_id <> q.query_id
-        )
-        SELECT query_id, neighbor_id
-        FROM scored
-        QUALIFY ROW_NUMBER() OVER (
-            PARTITION BY query_id ORDER BY sim DESC, neighbor_id
-        ) <= 10
-    """,
-    # IVF with exhaustive probing degenerates to exact brute force —
-    # same oracle shape as ann_topk_brute
-    "ann_topk_ivf": """
-        WITH q AS (
-            SELECT vec_id AS query_id, embedding AS qv
-            FROM embeddings WHERE vec_id IN (0, 1, 2, 3, 4)
-        ),
-        scored AS (
-            SELECT q.query_id, e.vec_id AS neighbor_id,
-                   list_cosine_similarity(q.qv, e.embedding) AS sim
-            FROM q, embeddings e
-            WHERE e.vec_id <> q.query_id
-        )
-        SELECT query_id, neighbor_id
-        FROM scored
-        QUALIFY ROW_NUMBER() OVER (
-            PARTITION BY query_id ORDER BY sim DESC, neighbor_id
-        ) <= 10
-    """,
-    # exact pairwise cosine >= 0.95 over embeddings ∪ planted clones
-    # (vec_id % 20 == 0 cloned at vec_id+100000, scaled by 2.0 — the
-    # same derivation _embeddings_with_clones builds Ray-side)
-    "embedding_near_dups": """
-        WITH all_vecs AS (
-            SELECT vec_id, embedding FROM embeddings
-            UNION ALL
-            SELECT vec_id + 100000 AS vec_id,
-                   list_transform(embedding, x -> x * 2.0) AS embedding
-            FROM embeddings WHERE vec_id % 20 = 0
-        )
-        SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
-        FROM all_vecs a JOIN all_vecs b ON a.vec_id < b.vec_id
-        WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.95
-    """,
     # the step-registry composition replayed: quality gate -> digit
     # count -> tokenize -> min-token drop (priority order, the disabled
     # step absent — mirrors stages/steps.py compose over the same kernels)
@@ -4703,19 +4056,6 @@ ORACLES = {
         SELECT term, CAST(COUNT(*) AS BIGINT) AS df,
                string_agg(CAST(doc_id AS VARCHAR), ',' ORDER BY doc_id) AS postings
         FROM toks GROUP BY term HAVING COUNT(*) >= 20
-    """,
-    # exact 3-NN self-join: every vector's top-3 cosine neighbors, self
-    # excluded, ties by neighbor_id ASC (mirrors training.knn_self_join)
-    "embedding_knn_join": """
-        SELECT a.vec_id AS query_id, b.vec_id AS neighbor_id,
-               ROW_NUMBER() OVER (
-                   PARTITION BY a.vec_id
-                   ORDER BY list_cosine_similarity(a.embedding, b.embedding) DESC,
-                            b.vec_id
-               ) AS nn_rank
-        FROM embeddings a, embeddings b
-        WHERE a.vec_id <> b.vec_id
-        QUALIFY nn_rank <= 3
     """,
     # Closed-form golden for the HTML->i14y parser over the synthetic pages
     # docparse_html_q builds from the documents table: doc_id is
@@ -5339,22 +4679,6 @@ def _shuffled_pack_oracle_sql() -> str:
 
 
 ORACLES["doc_shuffled_pack"] = _shuffled_pack_oracle_sql()
-ORACLES["embedding_covariance"] = """
-    WITH x AS (
-        SELECT CAST(vec_id AS BIGINT) AS vid, r.range AS i,
-               CAST(floor(embedding[r.range] * 1000 + 0.5) AS BIGINT) AS x
-        FROM embeddings, range(1, 65) r
-    ),
-    s AS (SELECT i, SUM(x) AS sx, COUNT(*) AS n FROM x GROUP BY i),
-    p AS (
-        SELECT a.i AS i, b.i AS j, SUM(a.x * b.x) AS sxy
-        FROM x a JOIN x b ON a.vid = b.vid AND b.i >= a.i
-        GROUP BY 1, 2
-    )
-    SELECT CAST(p.i - 1 AS BIGINT) AS i, CAST(p.j - 1 AS BIGINT) AS j,
-           CAST(sa.n * p.sxy - sa.sx * sb.sx AS BIGINT) AS cov_num
-    FROM p JOIN s sa ON sa.i = p.i JOIN s sb ON sb.i = p.j
-"""
 ORACLES["doc_weighted_sample"] = f"""
     SELECT doc_id, CAST(ws_tokens AS BIGINT) AS ws_tokens FROM (
         SELECT CAST(doc_id AS BIGINT) AS doc_id,
@@ -5603,20 +4927,6 @@ ORACLES["doc_char_entropy"] = """
            - CAST(S AS DOUBLE) / (CAST(n AS DOUBLE) * 1048576.0) AS entropy
     FROM s
 """
-ORACLES["embedding_quantize_int8"] = """
-    WITH x AS (
-        SELECT CAST(vec_id AS BIGINT) AS vec_id,
-               CAST(r.range - 1 AS BIGINT) AS i,
-               CAST(embedding[r.range] AS DOUBLE) AS v
-        FROM embeddings, range(1, 65) r
-    ),
-    s AS (SELECT i, MIN(v) AS mn, MAX(v) AS mx FROM x GROUP BY i)
-    SELECT x.vec_id, x.i,
-           CAST(CASE WHEN s.mx - s.mn = 0.0 THEN 0
-                ELSE floor(((x.v - s.mn) * 255.0) / (s.mx - s.mn) + 0.5)
-                END AS BIGINT) AS q
-    FROM x JOIN s USING (i)
-"""
 ORACLES["doc_bpe_pair_counts"] = """
     WITH toks AS (
         SELECT unnest(list_filter(
@@ -5633,36 +4943,6 @@ ORACLES["doc_bpe_pair_counts"] = """
 """
 
 
-def _pq_oracle_sql() -> str:
-    """Replay embedding_pq_codes: explicit per-dim squared-L2 expansion
-    (left-associated, matching the kernel's accumulation order),
-    argmin via row_number ordered by (dist, code)."""
-    blocks = []
-    for s in range(_PQ_SUBS):
-        terms = " + ".join(
-            f"((CAST(e.embedding[{s * _PQ_SUBDIM + k + 1}] AS DOUBLE)"
-            f" - CAST(c.embedding[{s * _PQ_SUBDIM + k + 1}] AS DOUBLE))"
-            f" * (CAST(e.embedding[{s * _PQ_SUBDIM + k + 1}] AS DOUBLE)"
-            f" - CAST(c.embedding[{s * _PQ_SUBDIM + k + 1}] AS DOUBLE)))"
-            for k in range(_PQ_SUBDIM)
-        )
-        blocks.append(
-            f"""SELECT CAST(e.vec_id AS BIGINT) AS vec_id, {s} AS sub,
-                   CAST(c.vec_id AS BIGINT) AS code, {terms} AS dist
-            FROM embeddings e JOIN embeddings c ON c.vec_id < {_PQ_CODES}"""
-        )
-    union = " UNION ALL ".join(blocks)
-    return f"""
-        SELECT vec_id, CAST(sub AS BIGINT) AS sub, code FROM (
-            SELECT vec_id, sub, code,
-                   row_number() OVER (PARTITION BY vec_id, sub
-                                      ORDER BY dist, code) AS rn
-            FROM ({union})
-        ) WHERE rn = 1
-    """
-
-
-ORACLES["embedding_pq_codes"] = _pq_oracle_sql()
 ORACLES["doc_unigram_perplexity"] = """
     WITH toks AS (
         SELECT CAST(doc_id AS BIGINT) AS doc_id,
@@ -5719,22 +4999,6 @@ ORACLES["doc_sample_by_plan"] = f"""
     SELECT s.doc_id, s.lang
     FROM s JOIN plan p USING (lang)
     WHERE hv % 1000000 < p.rate_micros
-"""
-ORACLES["embedding_cluster_assign"] = """
-    WITH c AS (
-        SELECT CAST(vec_id AS BIGINT) AS cid, embedding AS cv
-        FROM embeddings WHERE vec_id < 8
-    ),
-    scored AS (
-        SELECT CAST(e.vec_id AS BIGINT) AS vec_id, c.cid,
-               list_cosine_similarity(e.embedding, c.cv) AS sim
-        FROM embeddings e, c
-    )
-    SELECT vec_id, cid AS cluster_id
-    FROM scored
-    QUALIFY ROW_NUMBER() OVER (
-        PARTITION BY vec_id ORDER BY sim DESC, cid
-    ) = 1
 """
 ORACLES["doc_minhash_near_dup"] = _minhash_oracle_sql()
 ORACLES["doc_minhash_eval"] = _minhash_eval_oracle_sql()
@@ -5888,65 +5152,6 @@ ORACLES["doc_curriculum_manifest"] = """
 """
 
 
-ORACLES["embedding_knn_classify"] = """
-    WITH nn AS (
-        SELECT a.vec_id AS query_id, b.label AS nlabel,
-               ROW_NUMBER() OVER (
-                   PARTITION BY a.vec_id
-                   ORDER BY list_cosine_similarity(a.embedding, b.embedding) DESC,
-                            b.vec_id
-               ) AS nn_rank
-        FROM embeddings a, embeddings b
-        WHERE a.vec_id <> b.vec_id
-        QUALIFY nn_rank <= 5
-    ),
-    votes AS (
-        SELECT query_id, nlabel, COUNT(*) AS c FROM nn GROUP BY 1, 2
-    ),
-    pred AS (
-        SELECT query_id, nlabel AS pred_label FROM votes
-        QUALIFY ROW_NUMBER() OVER (
-            PARTITION BY query_id ORDER BY c DESC, nlabel
-        ) = 1
-    )
-    SELECT e.vec_id, CAST(e.label AS BIGINT) AS label,
-           CAST(p.pred_label AS BIGINT) AS pred_label,
-           CAST(CASE WHEN e.label = p.pred_label THEN 1 ELSE 0 END AS BIGINT) AS correct
-    FROM embeddings e JOIN pred p ON p.query_id = e.vec_id
-"""
-
-ORACLES["embedding_cluster_purity"] = """
-    WITH c AS (
-        SELECT CAST(vec_id AS BIGINT) AS cid, embedding AS cv
-        FROM embeddings WHERE vec_id < 8
-    ),
-    assigned AS (
-        SELECT vec_id, cid AS cluster_id FROM (
-            SELECT CAST(e.vec_id AS BIGINT) AS vec_id, c.cid,
-                   list_cosine_similarity(e.embedding, c.cv) AS sim
-            FROM embeddings e, c
-        )
-        QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id ORDER BY sim DESC, cid) = 1
-    ),
-    counts AS (
-        SELECT a.cluster_id, CAST(e.label AS BIGINT) AS label,
-               CAST(COUNT(*) AS BIGINT) AS c
-        FROM assigned a JOIN embeddings e ON e.vec_id = a.vec_id
-        GROUP BY 1, 2
-    ),
-    tot AS (SELECT cluster_id, CAST(SUM(c) AS BIGINT) AS n FROM counts GROUP BY 1),
-    top AS (
-        SELECT cluster_id, label AS majority_label, c AS majority_n FROM counts
-        QUALIFY ROW_NUMBER() OVER (
-            PARTITION BY cluster_id ORDER BY c DESC, label
-        ) = 1
-    )
-    SELECT t.cluster_id, t.majority_label, t.majority_n, tot.n,
-           CAST(t.majority_n * 1000000 // tot.n AS BIGINT) AS purity_ppm
-    FROM top t JOIN tot ON tot.cluster_id = t.cluster_id
-"""
-
-
 ORACLES["doc_chunk_overlap"] = """
     WITH t AS (
         SELECT doc_id,
@@ -5999,58 +5204,14 @@ ORACLES["doc_gopher_quality_gates"] = """
     FROM m
 """
 
-ORACLES["ann_recall_eval"] = """
-    WITH cents AS (
-        SELECT vec_id AS cent_id, embedding AS cv
-        FROM embeddings ORDER BY vec_id LIMIT 8
-    ),
-    assign AS (
-        SELECT e.vec_id, e.embedding, c.cent_id
-        FROM embeddings e, cents c
-        QUALIFY ROW_NUMBER() OVER (
-            PARTITION BY e.vec_id
-            ORDER BY list_cosine_similarity(e.embedding, c.cv) DESC, c.cent_id
-        ) = 1
-    ),
-    q AS (
-        SELECT vec_id AS query_id, embedding AS qv
-        FROM embeddings WHERE vec_id IN (0, 1, 2, 3, 4)
-    ),
-    probes AS (
-        SELECT query_id, cent_id FROM q, cents
-        QUALIFY ROW_NUMBER() OVER (
-            PARTITION BY query_id
-            ORDER BY list_cosine_similarity(qv, cv) DESC, cent_id
-        ) = 1
-    ),
-    wanted AS (SELECT DISTINCT cent_id FROM probes),
-    cand AS (
-        SELECT a.vec_id, a.embedding
-        FROM assign a JOIN wanted w ON a.cent_id = w.cent_id
-    ),
-    ivf AS (
-        SELECT q.query_id, c.vec_id AS neighbor_id
-        FROM q, cand c WHERE c.vec_id <> q.query_id
-        QUALIFY ROW_NUMBER() OVER (
-            PARTITION BY q.query_id
-            ORDER BY list_cosine_similarity(q.qv, c.embedding) DESC, c.vec_id
-        ) <= 10
-    ),
-    brute AS (
-        SELECT q.query_id, e.vec_id AS neighbor_id
-        FROM q, embeddings e WHERE e.vec_id <> q.query_id
-        QUALIFY ROW_NUMBER() OVER (
-            PARTITION BY q.query_id
-            ORDER BY list_cosine_similarity(q.qv, e.embedding) DESC, e.vec_id
-        ) <= 10
-    )
-    SELECT CAST(5 AS BIGINT) AS n_queries,
-           CAST(10 AS BIGINT) AS k,
-           CAST((SELECT COUNT(*) FROM brute) AS BIGINT) AS brute_rows,
-           CAST((SELECT COUNT(*) FROM brute b JOIN ivf i
-                 USING (query_id, neighbor_id)) AS BIGINT) AS hits,
-           CAST((SELECT COUNT(*) FROM brute b JOIN ivf i
-                 USING (query_id, neighbor_id)) * 1000000
-                // GREATEST((SELECT COUNT(*) FROM brute), 1) AS BIGINT)
-               AS recall_ppm
-"""
+
+# Ordering contract: the external driver samples the FIRST 50 keys of
+# QUERIES for its oracle-vs-engine correctness snapshot, so every
+# oracle-backed entry leads, in registry order, and the rows-only
+# entries follow. Every entry, in or out of the window, stays pinned by
+# the pytest oracle suite.
+QUERIES = {
+    **{k: v for k, v in QUERIES.items() if k in ORACLES},
+    **{k: v for k, v in QUERIES.items() if k not in ORACLES},
+}
+assert all(k in ORACLES for k in list(QUERIES)[:50])

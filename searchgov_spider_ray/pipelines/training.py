@@ -1,14 +1,13 @@
-"""Training-data curation operators over Ray Datasets: exact dedup,
-MinHash-LSH / SimHash near-dup, n-gram Jaccard verification,
-embedding-cosine ANN (brute-force + IVF bucketed), text analysis.
+"""Training-data curation operators over Ray Datasets: MinHash-LSH /
+SimHash near-dup, n-gram Jaccard verification, duplicate clusters,
+sampling, deterministic shuffling, language ID and sequence packing.
 
 These are the large-scale additions beyond the reference's operator
 set (the reference dedups exactly and only — SURVEY.md §2.4); they
 follow the public constructions (Broder MinHash, Charikar SimHash,
-LSH banding per Mining of Massive Datasets ch.3, IVF coarse
-quantization per the FAISS paper) implemented Ray-Data-first:
-vectorized per-batch kernels, explicit groupby shuffles for candidate
-buckets, broadcast (ray.put) for small sides.
+LSH banding per Mining of Massive Datasets ch.3) implemented
+Ray-Data-first: vectorized per-batch kernels, explicit groupby shuffles
+for candidate buckets, broadcast (ray.put) for small sides.
 
 Scale notes: every stage has a narrow path (single-block vectorized
 kernel / broadcast lookup — wins below ``WIDE_DOC_ROWS`` because it
@@ -36,28 +35,7 @@ from ..functions.simdedup import (
     shingle_hash_sets,
     simhash_batch,
 )
-from ..functions.textstats import content_hashes, detect_lang, fingerprint, quality_scores, token_counts
-
-# --------------------------------------------------------------------------
-# exact dedup
-# --------------------------------------------------------------------------
-
-
-def dedup_exact_first(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "text") -> rd.Dataset:
-    """First-wins exact dedup: hash-partition by content hash (the
-    whitespace/case-normalized xxhash64 of ``text_col``), keep the
-    min-id row per group (reference A1 DeDeuplicatorPipeline semantics,
-    pipelines.py:173-188, made deterministic by min-id instead of
-    arrival order)."""
-    from ray.data.aggregate import Min
-
-    def kernel(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["content_hash"] = content_hashes(batch[text_col])
-        return batch
-
-    hashed = ds.map_batches(kernel, batch_format="pandas")
-    return hashed.groupby("content_hash").aggregate(Min(id_col, alias_name=id_col))
-
+from ..functions.textstats import fingerprint
 
 # --------------------------------------------------------------------------
 # MinHash-LSH near-dup
@@ -1018,419 +996,8 @@ def dup_clusters(
 
 
 # --------------------------------------------------------------------------
-# embedding ANN
+# deterministic global shuffle
 # --------------------------------------------------------------------------
-
-
-def _as_matrix(col) -> np.ndarray:
-    """Arrow ``list<float>`` column (or any iterable of vectors) → 2-D
-    float64 matrix. For fixed-length Arrow list columns this is a
-    flatten + reshape (no per-row Python); the vstack fallback covers
-    pandas object columns."""
-    if isinstance(col, (pa.Array, pa.ChunkedArray)):
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        if isinstance(arr.type, pa.ExtensionType):  # Ray tensor extension
-            out = np.asarray(arr.to_numpy(zero_copy_only=False).tolist(), dtype=np.float64)
-            if out.ndim == 2:
-                return out
-            arr = arr.storage
-        if pa.types.is_list(arr.type) or pa.types.is_fixed_size_list(arr.type):
-            lengths = pc.list_value_length(arr).to_numpy(zero_copy_only=False)
-            if len(lengths) and (lengths == lengths[0]).all():
-                flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-                return flat.reshape(len(arr), int(lengths[0]))
-        col = arr.to_pylist()
-    return np.vstack([np.asarray(v, dtype=np.float64) for v in col])
-
-
-def _vec_is_in(ds: rd.Dataset, id_col: str, ids: list[int]) -> rd.Dataset:
-    """Vectorized id-membership filter (pc.is_in per batch — replaces a
-    per-row Python ``filter(lambda)`` in the hot path)."""
-    wanted = pa.array(sorted(int(i) for i in ids), type=pa.int64())
-
-    def kern(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(pc.cast(t[id_col], pa.int64()), value_set=wanted))
-
-    return ds.map_batches(kern, batch_format="pyarrow")
-
-
-def _first_n_by_id(ds: rd.Dataset, id_col: str, vec_col: str, n: int) -> pd.DataFrame:
-    """The n smallest-id rows without a global sort: per-block partial
-    n-smallest (vectorized argpartition), tiny driver-side merge of
-    blocks × n rows."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) > n:
-            ids = pc.cast(t[id_col], pa.int64()).to_numpy(zero_copy_only=False)
-            keep = np.argpartition(ids, n - 1)[:n]
-            t = t.take(pa.array(np.sort(keep)))
-        return t.select([id_col, vec_col])
-
-    df = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return df.nsmallest(n, id_col).sort_values(id_col).reset_index(drop=True)
-
-
-class _BruteTopK:
-    """Per-batch partial top-k: cosine of the batch's vectors against
-    the broadcast query matrix (numpy matmul — the vectorized path)."""
-
-    def __init__(self, queries_ref, k: int, id_col: str, vec_col: str):
-        self.queries_ref = queries_ref
-        self.k = k
-        self.id_col = id_col
-        self.vec_col = vec_col
-        self._q = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._q is None:
-            qids, qmat = ray.get(self.queries_ref)
-            qn = qmat / np.linalg.norm(qmat, axis=1, keepdims=True)
-            self._q = (qids, qn)
-        qids, qn = self._q
-        ids = np.asarray(batch[self.id_col].to_pylist())
-        mat = _as_matrix(batch[self.vec_col])
-        mat = mat / np.clip(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12, None)
-        sims = qn @ mat.T  # (n_queries, batch)
-        # k+1 so a self-match in the batch can't evict a real neighbor
-        k = min(self.k + 1, sims.shape[1])
-        out_q, out_n, out_s = [], [], []
-        for qi in range(sims.shape[0]):
-            row = sims[qi]
-            top = np.argpartition(-row, k - 1)[:k]
-            for j in top:
-                if ids[j] == qids[qi]:
-                    continue
-                out_q.append(int(qids[qi]))
-                out_n.append(int(ids[j]))
-                out_s.append(float(row[j]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "cosine": pa.array(out_s, type=pa.float64()),
-            }
-        )
-
-
-def _merge_topk_factory(k: int):
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["cosine", "neighbor_id"], ascending=[False, True], kind="mergesort")
-        return g.head(k)
-
-    return merge
-
-
-def ann_brute_topk(
-    ds: rd.Dataset,
-    query_ids: list[int],
-    k: int = 10,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-) -> rd.Dataset:
-    """Brute-force cosine top-k: per-batch partial top-k against the
-    broadcast queries, then a tiny groupby(query) merge. Ties broken by
-    neighbor_id ascending (determinism)."""
-    qdf = _vec_is_in(ds.select_columns([id_col, vec_col]), id_col, query_ids).to_pandas()
-    qref = ray.put((qdf[id_col].to_numpy(), _as_matrix(qdf[vec_col])))
-    partial = ds.map_batches(_BruteTopK(qref, k, id_col, vec_col), batch_format="pyarrow")
-    return partial.groupby("query_id").map_groups(_merge_topk_factory(k), batch_format="pandas")
-
-
-class _KnnSelfJoin:
-    """Per-batch exact k-NN against the broadcast (id-sorted) corpus
-    matrix: one GEMM per batch, each row's top-k is COMPLETE within its
-    own task (the broadcast side is the whole corpus), so there is no
-    partial-merge stage. Ties broken by neighbor_id ascending via an
-    exact kth-value cut (float equality, not an argpartition boundary
-    guess). Self-match excluded by sorted-id lookup."""
-
-    def __init__(self, ref, k: int, id_col: str, vec_col: str):
-        self.ref = ref
-        self.k = k
-        self.id_col = id_col
-        self.vec_col = vec_col
-        self._c = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._c is None:
-            ids_all, mat_all = ray.get(self.ref)  # pre-normalized, id-sorted
-            self._c = (ids_all, mat_all)
-        ids_all, mat_all = self._c
-        ids = pc.cast(batch[self.id_col], pa.int64()).to_numpy(zero_copy_only=False)
-        mat = _as_matrix(batch[self.vec_col])
-        mat = mat / np.clip(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12, None)
-        sims = mat @ mat_all.T  # (B, n)
-        n = sims.shape[1]
-        k = min(self.k, n - 1)
-        if k <= 0:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "neighbor_id": pa.array([], type=pa.int64()),
-                    "nn_rank": pa.array([], type=pa.int64()),
-                }
-            )
-        # mask self: ids_all is sorted, so one searchsorted per batch
-        pos = np.searchsorted(ids_all, ids)
-        ok = (pos < n) & (ids_all[np.minimum(pos, n - 1)] == ids)
-        sims[np.flatnonzero(ok), pos[ok]] = -2.0
-        # per-row top-k in ONE stable argsort: columns are already in
-        # ascending-id order, so stable ties realize the exact
-        # (-cosine, neighbor_id) total order the old per-row
-        # kth-cut+lexsort loop produced — bit-identical ranks, no
-        # Python rows. (Full-sort log factor traded for the loop; the
-        # chunked wide path bounds n, so the matrix never gets huge.)
-        ord_ = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        B = sims.shape[0]
-        return pa.table(
-            {
-                "query_id": pa.array(np.repeat(ids, k), type=pa.int64()),
-                "neighbor_id": pa.array(ids_all[ord_].ravel(), type=pa.int64()),
-                "nn_rank": pa.array(
-                    np.tile(np.arange(1, k + 1, dtype=np.int64), B), type=pa.int64()
-                ),
-            }
-        )
-
-
-class _KnnChunkScan:
-    """The WIDE exact-kNN kernel: the corpus is pre-split into C
-    id-hash chunks, each broadcast separately (one plasma copy per
-    node); every batch streams through the chunk list, GEMMs against
-    one chunk at a time, and folds that chunk's per-row top-k into a
-    running (B, k) state via a batched ``np.lexsort(axis=1)`` on the
-    (-cosine, neighbor_id) total order. PINNED per-task memory is one
-    chunk + one (B, 2k) merge buffer: each chunk is ``ray.get``-ed
-    fresh per loop iteration and its zero-copy view dropped before the
-    next, so the worker never pins the whole corpus in plasma at once
-    (the full chunk SET still lives in the cluster-wide object store,
-    which is spillable and shared — the bound here is what one task
-    holds un-evictable, traded for a cheap local re-get per batch).
-    Each row's top-k is COMPLETE when the chunk loop ends, so there is
-    still no merge shuffle. neighbor ids are unique, so the order is
-    total and the result is EXACT, bit-matching the broadcast path
-    (same per-pair dot products, same tie rule)."""
-
-    def __init__(self, chunk_refs: list, k: int, id_col: str, vec_col: str):
-        self.chunk_refs = chunk_refs
-        self.k = k
-        self.id_col = id_col
-        self.vec_col = vec_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = pc.cast(batch[self.id_col], pa.int64()).to_numpy(zero_copy_only=False)
-        mat = _as_matrix(batch[self.vec_col])
-        mat = mat / np.clip(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12, None)
-        B, k = len(ids), self.k
-        best_cos = np.full((B, k), -3.0)
-        best_ids = np.full((B, k), np.iinfo(np.int64).max, dtype=np.int64)
-        for _ref in self.chunk_refs:
-            c_ids, c_mat = ray.get(_ref)  # one chunk pinned at a time
-            sims = mat @ c_mat.T  # (B, m)
-            m = sims.shape[1]
-            # mask self: chunk ids are sorted, one searchsorted per chunk
-            pos = np.searchsorted(c_ids, ids)
-            ok = (pos < m) & (c_ids[np.minimum(pos, m - 1)] == ids)
-            sims[np.flatnonzero(ok), pos[ok]] = -2.0
-            kc = min(k, m)
-            # per-row chunk top-k by (-cos, id): stable argsort keeps
-            # column order (= ascending chunk id) for float ties
-            ord_c = np.argsort(-sims, axis=1, kind="stable")[:, :kc]
-            cand_cos = np.take_along_axis(sims, ord_c, axis=1)
-            cand_ids = c_ids[ord_c]
-            all_cos = np.concatenate([best_cos, cand_cos], axis=1)
-            all_ids = np.concatenate([best_ids, cand_ids], axis=1)
-            sel = np.lexsort((all_ids, -all_cos), axis=1)[:, :k]
-            best_cos = np.take_along_axis(all_cos, sel, axis=1)
-            best_ids = np.take_along_axis(all_ids, sel, axis=1)
-        real = best_cos > -1.5  # drop padding and the self sentinel
-        ranks = np.broadcast_to(np.arange(1, k + 1, dtype=np.int64), (B, k))
-        return pa.table(
-            {
-                "query_id": pa.array(np.repeat(ids, k)[real.ravel()], type=pa.int64()),
-                "neighbor_id": pa.array(best_ids.ravel()[real.ravel()], type=pa.int64()),
-                "nn_rank": pa.array(ranks.ravel()[real.ravel()], type=pa.int64()),
-            }
-        )
-
-
-def knn_self_join(
-    ds: rd.Dataset,
-    k: int = 3,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-    broadcast_rows: int = 2_000_000,
-    chunk_rows: int | None = None,
-) -> rd.Dataset:
-    """Exact cosine k-NN self-join: every row's top-k neighbors
-    (excluding itself), ties by neighbor_id ascending — the primitive
-    under semantic dedup / near-dup clustering of an embedding column.
-
-    Below ``broadcast_rows`` the corpus matrix is normalized once,
-    sorted by id, and broadcast via ``ray.put`` (one object-store copy
-    per node, zero-copy reads in every task); each ``map_batches``
-    task GEMMs its batch against it and emits complete per-row top-k —
-    one pass, no merge shuffle. The bound is a worker-heap bound
-    (float64 n×d: 2 M × 64 dims ≈ 1 GB).
-
-    ABOVE it the join DISPATCHES (it no longer refuses): the corpus
-    splits into ceil(n / chunk_rows) id-hash chunks, each materialized
-    and broadcast separately, and ``_KnnChunkScan`` streams every batch
-    through the chunk list with a running vectorized top-k merge —
-    still EXACT (every pair's dot product is computed; same total
-    order), per-task memory bounded by ONE chunk, total GEMM work the
-    inherent O(n²·d / parallelism). Forced-wide parity vs the
-    broadcast path is pinned in tests (``chunk_rows`` exists so tests
-    can force multiple chunks at fixture scale). For sub-quadratic
-    APPROXIMATE kNN at extreme scale, ``ann_ivf_topk`` remains the
-    recall-documented alternative."""
-    narrow = ds.select_columns([id_col, vec_col])
-    # count the UNPROJECTED input: for a plain parquet read Ray answers
-    # from footer metadata (no execution); counting the projected view
-    # would execute the plan once just to pick a dispatch path, then
-    # again to materialize it
-    n = ds.count()
-    if n <= broadcast_rows:
-        df = narrow.to_pandas()
-        ids = df[id_col].to_numpy().astype(np.int64)
-        order = np.argsort(ids, kind="mergesort")
-        mat = _as_matrix(df[vec_col])[order]
-        mat = mat / np.clip(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12, None)
-        ref = ray.put((ids[order], mat))
-        return ds.map_batches(
-            _KnnSelfJoin(ref, k, id_col, vec_col), batch_format="pyarrow"
-        )
-
-    c_rows = chunk_rows or max(broadcast_rows, 1)
-    n_chunks = max(1, -(-n // c_rows))
-    # ONE pass builds every chunk (the old build paid one full
-    # filter-scan + driver to_pandas PER chunk — O(C·n) read
-    # amplification with a serial driver loop): the narrow projection
-    # streams through the resumable hash-partitioned sink (each bucket
-    # = one id-hash chunk, written id-SORTED by exactly one task),
-    # then a remote prep task per bucket normalizes that chunk and
-    # leaves it in the object store as the task's return — the driver
-    # never touches vector bytes and chunk prep parallelizes. The
-    # spill dir uses a gc_tmp_caches-swept prefix and stays on disk so
-    # Ray lineage can re-run a prep task if a chunk object is lost
-    # (multi-node deployments point it at shared storage, the sink's
-    # existing contract).
-    import tempfile
-
-    from ..sinks.writers import write_partitioned_resumable
-
-    spill = tempfile.mkdtemp(prefix="knn_chunks_", dir="/tmp")
-    receipts = write_partitioned_resumable(
-        narrow, spill, key_col=id_col, n_buckets=n_chunks
-    )
-
-    @ray.remote
-    def _prep_chunk(path: str):
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=[id_col, vec_col])
-        c_ids = pc.cast(t[id_col], pa.int64()).to_numpy(zero_copy_only=False)
-        c_mat = _as_matrix(t[vec_col])
-        # bucket files are written id-sorted; keep a defensive sort so
-        # the searchsorted self-mask never depends on file layout
-        order = np.argsort(c_ids, kind="mergesort")
-        c_ids, c_mat = c_ids[order], c_mat[order]
-        c_mat = c_mat / np.clip(np.linalg.norm(c_mat, axis=1, keepdims=True), 1e-12, None)
-        return c_ids, c_mat
-
-    # empty hash buckets simply never appear in the receipts
-    chunk_refs = [_prep_chunk.remote(p) for p in receipts["path"].tolist()]
-    return ds.map_batches(
-        _KnnChunkScan(chunk_refs, k, id_col, vec_col), batch_format="pyarrow"
-    )
-
-
-def kmeans_centroids(
-    ds: rd.Dataset,
-    n_centroids: int,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-    n_iter: int = 8,
-    sample_per_centroid: int = 64,
-) -> np.ndarray:
-    """Deterministic spherical k-means for IVF coarse quantization
-    (Lloyd on a bounded id-ordered sample — the standard FAISS-style
-    train-on-sample recipe, so driver work is O(n_centroids × sample ×
-    n_iter) regardless of corpus size). Init = first n_centroids sample
-    vectors; empty clusters re-seed to the current farthest point
-    (deterministic). Returns L2-normalized (n_centroids, dim)."""
-    sample = _first_n_by_id(ds, id_col, vec_col, n_centroids * sample_per_centroid)
-    x = _as_matrix(sample[vec_col])
-    x = x / np.clip(np.linalg.norm(x, axis=1, keepdims=True), 1e-12, None)
-    n_centroids = min(n_centroids, len(x))  # tiny corpora: every vector a centroid
-    c = x[:n_centroids].copy()
-    if n_centroids == 0:
-        return c
-    for _ in range(n_iter):
-        sim = x @ c.T
-        assign = np.argmax(sim, axis=1)
-        newc = np.zeros_like(c)
-        np.add.at(newc, assign, x)
-        empty = np.bincount(assign, minlength=n_centroids) == 0
-        if empty.any():
-            # farthest points from their assigned centroid, deterministically
-            far = np.argsort(sim[np.arange(len(x)), assign], kind="stable")
-            newc[empty] = x[far[: int(empty.sum())]]
-        c = newc / np.clip(np.linalg.norm(newc, axis=1, keepdims=True), 1e-12, None)
-    return c
-
-
-def ann_ivf_topk(
-    ds: rd.Dataset,
-    query_ids: list[int],
-    k: int = 10,
-    n_centroids: int = 16,
-    n_probe: int = 4,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-    centroids: str = "kmeans",
-) -> rd.Dataset:
-    """IVF-bucketed ANN (the scale path): coarse-quantize vectors to
-    the nearest of ``n_centroids`` centroids (``centroids="kmeans"`` —
-    deterministic sample-trained spherical k-means — or ``"first"``,
-    the first n_centroids vectors by id), probe the ``n_probe`` closest
-    centroid buckets per query, brute-force only within those buckets.
-    Approximate by construction — recall vs brute force is asserted in
-    tests, not exactness (the driver oracle runs exhaustive probing,
-    which is exact under ANY centroid choice)."""
-    if centroids == "kmeans":
-        cents = kmeans_centroids(ds, n_centroids, id_col, vec_col)
-    else:
-        cdf = _first_n_by_id(ds, id_col, vec_col, n_centroids)
-        cents = _as_matrix(cdf[vec_col])
-        cents = cents / np.clip(np.linalg.norm(cents, axis=1, keepdims=True), 1e-12, None)
-    cref = ray.put(cents)
-
-    class _Assign:
-        def __init__(self):
-            self._c = None
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if self._c is None:
-                self._c = ray.get(cref)
-            mat = _as_matrix(batch[vec_col])
-            mat = mat / np.clip(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12, None)
-            cent = np.argmax(mat @ self._c.T, axis=1).astype(np.int32)
-            return batch.append_column("centroid", pa.array(cent))
-
-    assigned = ds.map_batches(_Assign(), batch_format="pyarrow")
-
-    qdf = _vec_is_in(ds.select_columns([id_col, vec_col]), id_col, query_ids).to_pandas()
-    qmat = _as_matrix(qdf[vec_col])
-    qn = qmat / np.clip(np.linalg.norm(qmat, axis=1, keepdims=True), 1e-12, None)
-    probes = np.argsort(-(qn @ cents.T), axis=1, kind="stable")[:, :n_probe]
-    wanted = pa.array(sorted({int(c) for row in probes for c in row}), type=pa.int32())
-    sub = assigned.map_batches(
-        lambda t: t.filter(pc.is_in(t["centroid"], value_set=wanted)), batch_format="pyarrow"
-    )
-    qref = ray.put((qdf[id_col].to_numpy(), qmat))
-    partial = sub.map_batches(_BruteTopK(qref, k, id_col, vec_col), batch_format="pyarrow")
-    return partial.groupby("query_id").map_groups(_merge_topk_factory(k), batch_format="pandas")
 
 
 SHUFFLE_SALT = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 golden gamma (public)
@@ -1495,173 +1062,9 @@ def global_shuffle_rank(
     return hashed.groupby("p").map_groups(rank_kernel, batch_format="pandas")
 
 
-def centroid_assign(
-    ds: rd.Dataset,
-    centroid_ids: list[int],
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-) -> rd.Dataset:
-    """Fixed-centroid nearest-cosine cluster assignment — the semantic
-    bucketing / data-mixing partition-key primitive: gather the K
-    centroid rows (K tiny, vectorized is_in filter), broadcast the
-    L2-normalized centroid matrix ONCE with ray.put, then label every
-    vector map_batches-side with one (B, K) GEMM argmax. No shuffle,
-    no driver-side corpus pass — the cost at 100 TB is exactly one
-    streaming read. ``cluster_id`` is the winning centroid's own id;
-    cosine ties break to the LOWEST centroid id (argmax first-max over
-    id-sorted centroid rows), which the SQL oracle mirrors with
-    ``ORDER BY sim DESC, cid``."""
-    cdf = _vec_is_in(ds.select_columns([id_col, vec_col]), id_col, centroid_ids).to_pandas()
-    cdf = cdf.sort_values(id_col)
-    cid = cdf[id_col].to_numpy(np.int64)
-    cmat = _as_matrix(cdf[vec_col])
-    cmat = cmat / np.clip(np.linalg.norm(cmat, axis=1, keepdims=True), 1e-12, None)
-    cref = ray.put((cid, cmat))
-
-    class _Label:
-        def __init__(self):
-            self._c = None
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if self._c is None:
-                self._c = ray.get(cref)
-            cid, cmat = self._c
-            ids = pc.cast(batch[id_col], pa.int64()).to_numpy(zero_copy_only=False)
-            mat = _as_matrix(batch[vec_col])
-            mat = mat / np.clip(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12, None)
-            best = np.argmax(mat @ cmat.T, axis=1)
-            return pa.table(
-                {id_col: pa.array(ids), "cluster_id": pa.array(cid[best])}
-            )
-
-    return ds.map_batches(_Label(), batch_format="pyarrow")
-
-
-def embedding_near_dup_pairs(
-    ds: rd.Dataset,
-    threshold: float = 0.95,
-    n_planes: int = 12,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-    seed: int = 42,
-    n_tables: int = 1,
-    wide_doc_rows: int = WIDE_DOC_ROWS,
-    n_parts: int | None = None,
-) -> rd.Dataset:
-    """Embedding-cosine near-dup via random-hyperplane LSH buckets +
-    exact cosine verification within buckets. ``n_tables`` independent
-    hyperplane tables trade recall for compute (a pair is a candidate
-    if it collides in ANY table); cross-table pair dedup is the
-    narrow/wide-dispatched distinct (single block below
-    ``wide_doc_rows`` rows, coarse hash-partitioned above)."""
-    n_rows = ds.count()
-    n_parts = n_parts or _n_parts_default()
-    sample = ds.limit(1).select_columns([vec_col]).to_pandas()
-    dim = len(sample[vec_col].iloc[0])
-    # one (n_tables, n_planes, dim) plane stack from one seeded stream
-    planes = np.random.RandomState(seed).randn(n_tables, n_planes, dim)
-    pref = ray.put(planes)
-
-    class _Bucket:
-        """Each row → one bucket key per hash table (table id folded
-        into the key so tables never collide)."""
-
-        def __init__(self):
-            self._p = None
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if self._p is None:
-                self._p = ray.get(pref)
-            mat = _as_matrix(batch[vec_col])
-            keys = []
-            for ti in range(self._p.shape[0]):
-                bits = (mat @ self._p[ti].T) > 0
-                k = (bits.astype(np.uint64) << np.arange(bits.shape[1], dtype=np.uint64)).sum(
-                    axis=1
-                )
-                keys.append(k | (np.uint64(ti) << np.uint64(48)))
-            sub = batch.select([id_col, vec_col])
-            n_t = self._p.shape[0]
-            out = pa.concat_tables([sub] * n_t) if n_t > 1 else sub
-            return out.append_column(
-                "bucket", pa.array(np.concatenate(keys), type=pa.uint64())
-            )
-
-    def verify(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "vec_a": pd.Series([], dtype="int64"),
-                "vec_b": pd.Series([], dtype="int64"),
-                "cosine": pd.Series([], dtype="float64"),
-            }
-        )
-        if len(group) < 2:
-            return empty
-        g = group.sort_values(id_col)
-        ids = np.asarray(g[id_col].tolist(), dtype=np.int64)
-        mat = _as_matrix(g[vec_col])
-        mat = mat / np.clip(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12, None)
-        # exact verify in ROW CHUNKS — a degenerate bucket (everything
-        # hashing alike) must be verified with bounded memory, never
-        # silently dropped (the SQL oracle has no cap)
-        chunk = max(1, (1 << 22) // max(len(ids), 1))  # ≤ ~32 MB of sims
-        a_parts, b_parts, c_parts = [], [], []
-        for s0 in range(0, len(ids), chunk):
-            sims = mat[s0 : s0 + chunk] @ mat.T
-            ii, jj = np.where(sims >= threshold)
-            keep = s0 + ii < jj  # upper triangle across chunks
-            ii, jj = ii[keep], jj[keep]
-            a_parts.append(ids[s0 + ii])
-            b_parts.append(ids[jj])
-            c_parts.append(sims[ii, jj])
-        if not a_parts:
-            return empty
-        return pd.DataFrame(
-            {
-                "vec_a": pd.Series(np.concatenate(a_parts), dtype="int64"),
-                "vec_b": pd.Series(np.concatenate(b_parts), dtype="int64"),
-                "cosine": pd.Series(np.concatenate(c_parts), dtype="float64"),
-            }
-        )
-
-    bucketed = ds.map_batches(_Bucket(), batch_format="pyarrow")
-    pairs = bucketed.groupby("bucket").map_groups(verify, batch_format="pandas")
-    if n_rows > wide_doc_rows:
-        # dedup key is the id pair ONLY (matching the narrow path's
-        # drop_duplicates): the float cosine for the same pair can differ
-        # by an ulp across bucket/table GEMM shapes, which would let the
-        # pair survive dedup twice if included in the key
-        return _distinct_pairs_wide(pairs, ["vec_a", "vec_b"], n_parts, keep=["cosine"])
-    return pairs.repartition(1).map_batches(
-        lambda df: df.drop_duplicates(["vec_a", "vec_b"]).reset_index(drop=True),
-        batch_format="pandas",
-        batch_size=None,
-    )
-
-
 # --------------------------------------------------------------------------
 # text analysis stages
 # --------------------------------------------------------------------------
-
-
-def text_stats(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "text") -> rd.Dataset:
-    """Per-doc integer text statistics (token counts, char classes) —
-    all vectorized pandas str kernels."""
-
-    def kernel(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = token_counts(batch[text_col])
-        q = quality_scores(batch[text_col])
-        return pd.DataFrame(
-            {
-                id_col: batch[id_col],
-                "ws_tokens": toks["ws_tokens"],
-                "bpe_tokens": toks["bpe_tokens"],
-                "n_chars": q["n_chars"],
-                "n_words": q["n_words"],
-            }
-        )
-
-    return ds.map_batches(kernel, batch_format="pandas")
 
 
 class LangIdStage:

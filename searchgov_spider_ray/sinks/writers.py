@@ -121,161 +121,3 @@ def write_sitemap_snapshot(ds: rd.Dataset, out_dir: str | Path) -> None:
     # tasks whose read-merge-write cycles race (last writer wins,
     # losing URLs that then resurface as spurious 'new' diffs)
     ds.groupby("sitemap_url").map_groups(dump, batch_format="pandas").materialize()
-
-
-def write_partitioned_resumable(
-    ds: rd.Dataset,
-    out_dir: str | Path,
-    key_col: str,
-    n_buckets: int = 256,
-    partitioning: str = "hash",
-    range_size: int = 1 << 20,
-) -> "pd.DataFrame":
-    """Resumable partitioned parquet sink — the 100-TB output contract:
-    rows land in ``n_buckets`` hash-of-key bucket directories
-    (``bucket=0007/part.parquet``), each written ATOMICALLY (temp file +
-    os.replace), so a killed run leaves only whole buckets behind and
-    the restart SKIPS them — completed buckets are detected up front
-    and their rows are dropped at the map stage (a vectorized bucket-id
-    is_in per batch), so a resume re-reads the input but re-writes and
-    re-shuffles only the missing key ranges. One groupby exchange
-    co-locates each bucket; one task owns each file (no write races).
-    Returns the receipt frame (bucket, rows, path) for the buckets
-    written by THIS call — the generalization of the frontier's
-    per-round checkpoint discipline (state/checkpoint.py) to arbitrary
-    query output.
-
-    ``partitioning="hash"`` (default) spreads keys uniformly — the
-    right layout for resume granularity and skew. ``"range"`` puts
-    CONTIGUOUS key ranges in each bucket (``bucket = key //
-    range_size``): every bucket file then carries tight parquet
-    footer min/max stats on the key, so :func:`read_partitioned_pruned`
-    can skip whole buckets for a key-range predicate — the zone-map /
-    clustered-layout trade. Callers size ``range_size`` so the bucket
-    count stays bounded (it is data-dependent; ``n_buckets`` is
-    ignored in range mode)."""
-    import os
-
-    import numpy as np
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from ..functions.simdedup import hash_part
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    done = np.array(
-        sorted(
-            int(p.name.split("=")[1])
-            for p in out.glob("bucket=*")
-            if (p / "part.parquet").exists()
-        ),
-        dtype=np.int64,
-    )
-
-    if partitioning not in ("hash", "range"):
-        raise ValueError(f"partitioning must be 'hash' or 'range', got {partitioning!r}")
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keys = pc.cast(t[key_col], pa.int64()).to_numpy(zero_copy_only=False)
-        if partitioning == "range":
-            b = keys // np.int64(range_size)
-        else:
-            b = hash_part(keys, n_buckets).astype(np.int64)
-        t = t.append_column("__bucket", pa.array(b))
-        if len(done):
-            idx = np.searchsorted(done, b)
-            idx_c = np.minimum(idx, len(done) - 1)
-            skip = (idx < len(done)) & (done[idx_c] == b)
-            t = t.filter(pa.array(~skip))
-        return t
-
-    def dump(group: pd.DataFrame) -> pd.DataFrame:
-        b = int(group["__bucket"].iloc[0])
-        bdir = out / f"bucket={b:04d}"
-        bdir.mkdir(parents=True, exist_ok=True)
-        final = bdir / "part.parquet"
-        tmp = bdir / f".part.parquet.tmp.{os.getpid()}"
-        body = group.drop(columns="__bucket").sort_values(key_col, kind="mergesort")
-        pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
-        os.replace(tmp, final)  # atomic: readers never see a torn file
-        return pd.DataFrame({"bucket": [b], "rows": [len(body)], "path": [str(final)]})
-
-    receipts = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(dump, batch_format="pandas")
-        .to_pandas()
-    )
-    if len(receipts) == 0:
-        receipts = pd.DataFrame(
-            {"bucket": pd.Series([], dtype="int64"),
-             "rows": pd.Series([], dtype="int64"),
-             "path": pd.Series([], dtype="str")}
-        )
-    return receipts.sort_values("bucket").reset_index(drop=True)
-
-
-def read_partitioned_pruned(
-    out_dir: str | Path,
-    col: str,
-    lo: int,
-    hi: int,
-    columns: "list[str] | None" = None,
-) -> "tuple[rd.Dataset, dict]":
-    """Zone-map scan pruning over :func:`write_partitioned_resumable`
-    output: before any data is read, each bucket file's parquet FOOTER
-    row-group statistics (min/max of ``col``) decide whether the file
-    can contain rows with ``lo <= col <= hi``; non-intersecting files
-    are skipped entirely — the predicate never touches their bytes.
-    Pays off when the layout clusters ``col`` (range partitioning, or
-    a Z-order key that covers it); under hash partitioning every
-    bucket spans the full range and nothing prunes (by design). The
-    surviving files stream through ``read_parquet(columns=...)`` with
-    the exact row predicate re-applied per batch. Returns ``(dataset,
-    stats)`` where stats counts files total/read — the observability
-    hook the resume/receipt discipline requires (no silent pruning).
-    Footer reads are metadata-only (KB per file) and bounded by the
-    bucket count, which the writer keeps small."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    files = sorted(Path(out_dir).glob("bucket=*/part.parquet"))
-    keep: list[str] = []
-    for f in files:
-        md = pq.ParquetFile(f).metadata
-        idx = md.schema.to_arrow_schema().get_field_index(col)
-        intersects = False
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            if st is None or not st.has_min_max:
-                intersects = True  # no stats → cannot prune safely
-                break
-            if st.min <= hi and st.max >= lo:
-                intersects = True
-                break
-        if intersects:
-            keep.append(str(f))
-    stats = {"files_total": len(files), "files_read": len(keep)}
-    if not keep:
-        import ray.data as _rd
-
-        return _rd.from_items([]), stats
-
-    def row_filter(t: pa.Table) -> pa.Table:
-        if "bucket" in t.column_names and columns is None:
-            # hive-inferred partition column from the bucket= dirs: the
-            # reader contract returns the file's own schema
-            t = t.drop_columns(["bucket"])
-        m = pc.and_(
-            pc.greater_equal(t[col], pa.scalar(lo)),
-            pc.less_equal(t[col], pa.scalar(hi)),
-        )
-        return t.filter(m)
-
-    ds = rd.read_parquet(keep, columns=columns).map_batches(
-        row_filter, batch_format="pyarrow"
-    )
-    return ds, stats

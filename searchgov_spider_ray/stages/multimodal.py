@@ -1,35 +1,25 @@
-"""Multimodal column stages: image resize / feature-extract, audio
-feature-extract, video frame-sample.
+"""Image column stages: resize and feature-extract.
 
-Large-scale training-data pipelines treat image/audio/video as opaque
-``binary`` columns with typed metadata; each transform is an
-actor-pool ``map_batches`` stage (codec/DCT state built once per
-actor, work per batch, small ``batch_size`` because rows carry multi-MB
-payloads). The reference has no media pipeline — its closest analog is
-the PDF parse actor (convert_pdf_i14y.py:77-140); these stages follow
-the same shape as :mod:`.decode` (SURVEY.md §2.5 image row).
+Large-scale training-data pipelines treat images as opaque ``binary``
+columns with typed metadata; each transform is an actor-pool
+``map_batches`` stage (codec/DCT state built once per actor, work per
+batch, small ``batch_size`` because rows carry multi-MB payloads). The
+reference has no media pipeline — its closest analog is the PDF parse
+actor (convert_pdf_i14y.py:77-140); these stages follow the same shape
+as :mod:`.decode` (SURVEY.md §2.5 image row).
 
-CODECS ARE CLEARLY-MARKED STUBS: the container has no PIL/ffmpeg, so
-images use the deterministic zlib stub codec from :mod:`.decode`, and
-audio/video use deterministic fake containers defined here
-(``FAUD``/``FVID`` magic). ``RealAudioCodec`` / ``RealVideoCodec``
-raise ``NotImplementedError`` and are the swap-in points on a real
-cluster. The Ray-side plumbing — schemas, batch sizing, actor
-signatures, output layouts, resampling/feature math — is real and
-tested (tests/test_multimodal.py).
+THE CODEC IS A CLEARLY-MARKED STUB: the container has no PIL, so images
+use the deterministic zlib stub codec from :mod:`.decode`. The Ray-side
+plumbing — schemas, batch sizing, actor signatures, output layouts,
+resampling/feature math — is real and tested (tests/test_multimodal.py).
 """
 
 from __future__ import annotations
-
-import struct
-import zlib
 
 import numpy as np
 import pyarrow as pa
 
 from .decode import _small32, fake_decode, fake_encode, phash64_from_smalls
-
-# --- image ----------------------------------------------------------------
 
 
 def resize_nearest(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
@@ -98,8 +88,7 @@ class ImageFeatures:
     """Actor-pool map_batches stage: decode → fixed-length feature
     vector per image (channel means/stds + 16-bin luma histogram +
     pHash bits' population count = 23 floats). Output adds
-    ``features: list<float>`` — the embedding-column shape the ANN /
-    near-dup operators consume."""
+    ``features: list<float>``."""
 
     DIM = 23
 
@@ -130,177 +119,8 @@ class ImageFeatures:
         ).append_column("decode_ok", pa.array(ok))
 
 
-# --- audio (stub container: FAUD | rate:u32 | zlib(int16 PCM)) ------------
-
-_MAGIC_AUD = b"FAUD"
-
-
-def fake_audio_encode(samples: np.ndarray, rate: int = 16000) -> bytes:
-    assert samples.dtype == np.int16
-    return _MAGIC_AUD + struct.pack("<I", rate) + zlib.compress(samples.tobytes(), 6)
-
-
-def fake_audio_decode(data: bytes) -> tuple[np.ndarray, int]:
-    if data[:4] != _MAGIC_AUD:
-        raise ValueError(f"bad audio magic {data[:4]!r}")
-    (rate,) = struct.unpack("<I", data[4:8])
-    return np.frombuffer(zlib.decompress(data[8:]), dtype=np.int16), rate
-
-
-class RealAudioCodec:
-    """Swap-in point for a real decoder (soundfile/ffmpeg) on a cluster
-    with audio libraries installed. Not available in this container."""
-
-    def decode(self, data: bytes):  # pragma: no cover - explicit stub
-        raise NotImplementedError("audio libraries are not installed in this environment")
-
-
-class AudioFeatures:
-    """Actor-pool map_batches stage: PCM → per-window RMS energy and
-    zero-crossing rate, plus duration. Input: rows with an audio
-    ``bytes`` column; output adds ``duration_s: float``,
-    ``rms: list<float>``, ``zcr: list<float>`` (one value per
-    ``window_s`` window — vectorized reshape, no Python inner loop)."""
-
-    def __init__(self, window_s: float = 0.5):
-        self.window_s = window_s
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        data = batch["bytes"].to_pylist()
-        dur = np.zeros(len(data), dtype=np.float64)
-        rms_col: list[list[float]] = []
-        zcr_col: list[list[float]] = []
-        ok = np.zeros(len(data), dtype=bool)
-        for i, b in enumerate(data):
-            try:
-                samples, rate = fake_audio_decode(b)
-                if rate <= 0:
-                    raise ValueError("zero sample rate")
-            except Exception:  # corrupt/null payload: flag, don't crash
-                rms_col.append([])
-                zcr_col.append([])
-                continue
-            ok[i] = True
-            dur[i] = len(samples) / rate
-            win = max(1, int(rate * self.window_s))
-            n = (len(samples) // win) * win
-            if n == 0:
-                rms_col.append([])
-                zcr_col.append([])
-                continue
-            x = samples[:n].astype(np.float64).reshape(-1, win) / 32768.0
-            rms_col.append(np.sqrt((x * x).mean(axis=1)).tolist())
-            flips = np.signbit(x[:, 1:]) != np.signbit(x[:, :-1])
-            zcr_col.append(flips.mean(axis=1).tolist())
-        return (
-            batch.append_column("duration_s", pa.array(dur))
-            .append_column("rms", pa.array(rms_col, type=pa.list_(pa.float64())))
-            .append_column("zcr", pa.array(zcr_col, type=pa.list_(pa.float64())))
-            .append_column("decode_ok", pa.array(ok))
-        )
-
-
-# --- video (stub container: FVID | n:u32 | n × (len:u32 | stub image)) ----
-
-_MAGIC_VID = b"FVID"
-
-
-def fake_video_encode(frames: list[np.ndarray], fmt: str = "png") -> bytes:
-    payload = b"".join(
-        struct.pack("<I", len(fb)) + fb
-        for fb in (fake_encode(f, fmt) for f in frames)
-    )
-    return _MAGIC_VID + struct.pack("<I", len(frames)) + payload
-
-
-def fake_video_decode_frame_offsets(data: bytes) -> list[tuple[int, int]]:
-    """(offset, length) of each encoded frame — lets frame sampling
-    skip decoding frames it will not keep."""
-    if data[:4] != _MAGIC_VID:
-        raise ValueError(f"bad video magic {data[:4]!r}")
-    (n,) = struct.unpack("<I", data[4:8])
-    out = []
-    pos = 8
-    for _ in range(n):
-        (ln,) = struct.unpack("<I", data[pos : pos + 4])
-        out.append((pos + 4, ln))
-        pos += 4 + ln
-    return out
-
-
-class RealVideoCodec:
-    """Swap-in point for a real demuxer/decoder (PyAV/ffmpeg) on a
-    cluster with video libraries installed. Not in this container."""
-
-    def decode(self, data: bytes):  # pragma: no cover - explicit stub
-        raise NotImplementedError("video libraries are not installed in this environment")
-
-
-class VideoFrameSample:
-    """Actor-pool map_batches stage: explode every ``stride``-th frame
-    of each video row into one image row ``(video_id, frame_idx,
-    bytes, w, h, fmt, phash)`` — a flat_map-shaped stage feeding the
-    image decode/dedup operators. Only sampled frames are decoded
-    (container offsets let the demux skip the rest — same property a
-    real keyframe-seek demuxer gives you)."""
-
-    def __init__(self, stride: int = 10, id_col: str = "video_id"):
-        self.stride = stride
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vids = batch[self.id_col].to_pylist()
-        data = batch["bytes"].to_pylist()
-        out_id: list[str] = []
-        out_idx: list[int] = []
-        out_b: list[bytes] = []
-        dims: list[tuple[int, int, str]] = []
-        smalls: list[np.ndarray] = []
-        for vid, b in zip(vids, data):
-            try:  # corrupt container: skip the video, keep the batch
-                offsets = fake_video_decode_frame_offsets(b)
-            except Exception:
-                continue
-            for fi in range(0, len(offsets), self.stride):
-                off, ln = offsets[fi]
-                fb = b[off : off + ln]
-                try:
-                    pixels, w, h, fmt = fake_decode(fb)
-                except Exception:  # corrupt frame: skip it
-                    continue
-                out_id.append(vid)
-                out_idx.append(fi)
-                out_b.append(fb)
-                dims.append((w, h, fmt))
-                smalls.append(_small32(pixels))
-        ph = (
-            phash64_from_smalls(np.stack(smalls))
-            if smalls
-            else np.empty(0, dtype=np.uint64)
-        )
-        return pa.table(
-            {
-                self.id_col: pa.array(out_id, type=pa.string()),
-                "frame_idx": pa.array(out_idx, type=pa.int32()),
-                "bytes": pa.array(out_b, type=pa.large_binary()),
-                "w": pa.array([d[0] for d in dims], type=pa.int32()),
-                "h": pa.array([d[1] for d in dims], type=pa.int32()),
-                "fmt": pa.array([d[2] for d in dims], type=pa.string()),
-                "phash": pa.array(ph, type=pa.uint64()),
-            }
-        )
-
-
 __all__ = [
     "ImageResize",
     "ImageFeatures",
-    "AudioFeatures",
-    "VideoFrameSample",
-    "RealAudioCodec",
-    "RealVideoCodec",
     "resize_nearest",
-    "fake_audio_encode",
-    "fake_audio_decode",
-    "fake_video_encode",
-    "fake_video_decode_frame_offsets",
 ]

@@ -1,29 +1,13 @@
-"""Multimodal stage tests: image resize/features, audio features,
-video frame sampling — kernel math unit-tested directly, Ray-side
-plumbing (schema, actor-pool map_batches, flat_map explode) through a
-small Dataset."""
+"""Image column stage tests: resize and feature extraction — kernel
+math unit-tested directly on Arrow batches."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pytest
-import ray.data as rd
 
 from searchgov_spider_ray.stages.decode import fake_decode, fake_encode, phash64
-from searchgov_spider_ray.stages.multimodal import (
-    AudioFeatures,
-    ImageFeatures,
-    ImageResize,
-    RealAudioCodec,
-    RealVideoCodec,
-    VideoFrameSample,
-    fake_audio_decode,
-    fake_audio_encode,
-    fake_video_decode_frame_offsets,
-    fake_video_encode,
-    resize_nearest,
-)
+from searchgov_spider_ray.stages.multimodal import ImageFeatures, ImageResize, resize_nearest
 
 
 def _img(w, h, seed=0):
@@ -106,71 +90,3 @@ class TestImageFeatures:
         bad = batch.set_column(1, "bytes", pa.array([b"junk", b""], type=pa.large_binary()))
         out = ImageFeatures()(bad)
         assert out["decode_ok"].to_pylist() == [False, False]
-
-
-class TestAudio:
-    def test_roundtrip_and_features(self):
-        rate = 8000
-        t = np.arange(rate * 2)  # 2 s
-        wave = (np.sin(2 * np.pi * 440 * t / rate) * 20000).astype(np.int16)
-        b = fake_audio_encode(wave, rate)
-        samples, r = fake_audio_decode(b)
-        assert r == rate and np.array_equal(samples, wave)
-        out = AudioFeatures(window_s=0.5)(
-            pa.table({"audio_id": ["a"], "bytes": pa.array([b], type=pa.large_binary())})
-        )
-        assert out["duration_s"].to_pylist() == [2.0]
-        rms = out["rms"].to_pylist()[0]
-        zcr = out["zcr"].to_pylist()[0]
-        assert len(rms) == 4 and len(zcr) == 4
-        # sine RMS = amplitude/sqrt(2)
-        assert abs(rms[0] - (20000 / 32768.0) / np.sqrt(2)) < 1e-3
-        # 440 Hz crosses zero ~880 times/s → zcr ≈ 880/8000
-        assert abs(zcr[0] - 880 / 8000) < 0.01
-
-    def test_real_codec_is_stub(self):
-        with pytest.raises(NotImplementedError):
-            RealAudioCodec().decode(b"x")
-        with pytest.raises(NotImplementedError):
-            RealVideoCodec().decode(b"x")
-
-
-class TestVideo:
-    def _video(self, n_frames=25, seed=3):
-        frames = [_img(64, 48, seed=seed + i) for i in range(n_frames)]
-        return frames, fake_video_encode(frames)
-
-    def test_offsets_cover_all_frames(self):
-        frames, b = self._video()
-        offs = fake_video_decode_frame_offsets(b)
-        assert len(offs) == len(frames)
-        for (off, ln), f in zip(offs, frames):
-            px, w, h, _ = fake_decode(b[off : off + ln])
-            assert np.array_equal(px, f)
-
-    def test_frame_sample_explodes(self):
-        frames, b = self._video(n_frames=25)
-        batch = pa.table(
-            {"video_id": ["v0"], "bytes": pa.array([b], type=pa.large_binary())}
-        )
-        out = VideoFrameSample(stride=10)(batch)
-        assert out["frame_idx"].to_pylist() == [0, 10, 20]
-        assert out["video_id"].to_pylist() == ["v0"] * 3
-        # phash of a sampled frame matches hashing the frame directly
-        assert out["phash"].to_pylist()[1] == phash64(frames[10])
-
-    def test_dataset_plumbing(self, ray_session):
-        _, b0 = self._video(n_frames=12, seed=5)
-        _, b1 = self._video(n_frames=7, seed=9)
-        ds = rd.from_arrow(
-            pa.table(
-                {"video_id": ["a", "b"], "bytes": pa.array([b0, b1], type=pa.large_binary())}
-            )
-        )
-        out = ds.map_batches(
-            VideoFrameSample(stride=5), batch_format="pyarrow", batch_size=1
-        ).map_batches(ImageFeatures(), batch_format="pyarrow")
-        df = out.to_pandas()
-        assert sorted(df["video_id"].unique()) == ["a", "b"]
-        assert len(df) == 3 + 2  # ceil(12/5)=3 frames + ceil(7/5)=2
-        assert all(len(f) == ImageFeatures.DIM for f in df["features"])

@@ -293,71 +293,3 @@ def test_endpoint_poster_flushes_tail_per_batch():
     p(pa.table({"url": [f"https://x.gov/{i}" for i in range(7)]}))
     got = [u for payload in posted for u in payload["urls"]]
     assert got == [f"https://x.gov/{i}" for i in range(7)]  # nothing buffered/lost
-
-
-class TestResumableSink:
-    def test_kill_and_resume_writes_only_missing_buckets(self, ray_session, tmp_path):
-        import numpy as np
-        import pandas as pd
-        import pyarrow.parquet as pq
-        import ray.data as rd
-
-        from searchgov_spider_ray.sinks.writers import write_partitioned_resumable
-
-        df = pd.DataFrame(
-            {"k": np.arange(1000, dtype=np.int64), "v": np.arange(1000) * 3}
-        )
-        out = tmp_path / "sink"
-        r1 = write_partitioned_resumable(rd.from_pandas(df), out, "k", n_buckets=16)
-        assert sorted(r1["bucket"]) == sorted(set(r1["bucket"]))  # one file per bucket
-        assert int(r1["rows"].sum()) == 1000
-        # simulate a kill that lost three buckets
-        killed = [int(b) for b in r1["bucket"].iloc[:3]]
-        for b in killed:
-            (out / f"bucket={b:04d}" / "part.parquet").unlink()
-        r2 = write_partitioned_resumable(rd.from_pandas(df), out, "k", n_buckets=16)
-        assert sorted(r2["bucket"]) == sorted(killed)  # ONLY the missing buckets
-        # final content is exactly-once and complete
-        got = pd.concat(
-            [pq.read_table(p).to_pandas() for p in out.glob("bucket=*/part.parquet")]
-        ).sort_values("k").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, df)
-        # a third run with nothing missing writes nothing
-        r3 = write_partitioned_resumable(rd.from_pandas(df), out, "k", n_buckets=16)
-        assert len(r3) == 0
-
-    def test_range_partitioning_and_zone_map_pruning(self, ray_session, tmp_path):
-        import numpy as np
-        import pandas as pd
-        import ray.data as rd
-
-        from searchgov_spider_ray.sinks.writers import (
-            read_partitioned_pruned,
-            write_partitioned_resumable,
-        )
-
-        df = pd.DataFrame(
-            {"k": np.arange(1000, dtype=np.int64), "v": np.arange(1000) * 7}
-        )
-        out = tmp_path / "rsink"
-        r = write_partitioned_resumable(
-            rd.from_pandas(df), out, "k", partitioning="range", range_size=100
-        )
-        assert sorted(r["bucket"]) == list(range(10))  # contiguous key ranges
-        # predicate spans buckets 1-3: footer stats must skip the other 7
-        ds, stats = read_partitioned_pruned(out, "k", 150, 349)
-        assert stats == {"files_total": 10, "files_read": 3}
-        got = ds.to_pandas().sort_values("k").reset_index(drop=True)
-        want = df[(df["k"] >= 150) & (df["k"] <= 349)].reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want)
-        # empty predicate range: zero files touched, zero rows
-        ds0, st0 = read_partitioned_pruned(out, "k", 5000, 6000)
-        assert st0["files_read"] == 0 and ds0.count() == 0
-        # hash layout spans every range per bucket — pruning degrades
-        # to read-all (correct, never silently wrong)
-        out_h = tmp_path / "hsink"
-        write_partitioned_resumable(rd.from_pandas(df), out_h, "k", n_buckets=8)
-        ds_h, st_h = read_partitioned_pruned(out_h, "k", 150, 349)
-        assert st_h["files_read"] == st_h["files_total"]
-        got_h = ds_h.to_pandas().sort_values("k").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got_h, want)

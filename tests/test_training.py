@@ -1,14 +1,13 @@
-"""Training-data operator tests: exact dedup, MinHash-LSH, SimHash,
-ANN (brute + IVF recall), embedding near-dup, text stats — semantics
-pinned on planted fixtures; the driver's rows-only checks lean on
-these."""
+"""Training-data operator tests: MinHash-LSH, SimHash, duplicate
+clusters, language ID, fingerprints, packing, shuffling and sampling —
+semantics pinned on planted fixtures; the driver's rows-only checks
+lean on these."""
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
-import ray
 import ray.data as rd
 
 from searchgov_spider_ray.pipelines import training
@@ -29,28 +28,6 @@ def docs_ds(ray_session):
     return rd.from_pandas(pd.DataFrame(rows))
 
 
-@pytest.fixture(scope="module")
-def emb_ds(ray_session):
-    rng = np.random.RandomState(0)
-    vecs = rng.randn(200, 16).astype(np.float32)
-    vecs[50] = vecs[10] + rng.randn(16).astype(np.float32) * 0.01  # planted near-dup
-    df = pd.DataFrame({"vec_id": np.arange(200, dtype=np.int64), "embedding": list(vecs)})
-    return rd.from_pandas(df)
-
-
-class TestExactDedup:
-    def test_first_wins(self, docs_ds):
-        out = training.dedup_exact_first(docs_ds).to_pandas()
-        ids = set(out["doc_id"])
-        assert 5 in ids and 23 not in ids  # min-id wins
-        assert len(ids) == 23  # 24 docs, one exact dup collapsed
-
-    def test_case_whitespace_normalized(self, ray_session):
-        ds = rd.from_pandas(pd.DataFrame({"doc_id": [1, 2], "text": ["A  b C", "a b c"]}))
-        out = training.dedup_exact_first(ds).to_pandas()
-        assert out["doc_id"].tolist() == [1]
-
-
 class TestMinHashLSH:
     def test_finds_planted_cluster(self, docs_ds):
         pairs = training.minhash_lsh_pairs(docs_ds, threshold=0.6).to_pandas()
@@ -69,64 +46,7 @@ class TestSimHash:
         assert (5, 23) in got  # exact dup → hamming 0
 
 
-class TestANN:
-    def test_brute_matches_numpy(self, emb_ds):
-        out = training.ann_brute_topk(emb_ds, query_ids=[10], k=5).to_pandas()
-        df = emb_ds.to_pandas()
-        mat = np.vstack(df["embedding"].to_numpy()).astype(np.float64)
-        matn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        sims = matn @ matn[10]
-        sims[10] = -np.inf
-        expect = set(np.argsort(-sims, kind="stable")[:5].tolist())
-        assert set(out["neighbor_id"]) == expect
-        assert 50 in expect  # the planted near-dup is the top neighbor
-
-    def test_ivf_recall(self, emb_ds):
-        brute = training.ann_brute_topk(emb_ds, query_ids=[1, 2, 3], k=10).to_pandas()
-        ivf = training.ann_ivf_topk(emb_ds, query_ids=[1, 2, 3], k=10, n_centroids=8, n_probe=4).to_pandas()
-        recall = 0.0
-        for q in (1, 2, 3):
-            b = set(brute[brute["query_id"] == q]["neighbor_id"])
-            v = set(ivf[ivf["query_id"] == q]["neighbor_id"])
-            recall += len(b & v) / len(b)
-        assert recall / 3 >= 0.5  # probing half the centroids
-
-    def test_ivf_kmeans_beats_or_matches_first_n(self, emb_ds):
-        """Sample-trained spherical k-means centroids should give recall
-        at least as good as the naive first-N pick at the same probe
-        budget, and k-means itself must be deterministic."""
-        brute = training.ann_brute_topk(emb_ds, query_ids=[1, 2, 3], k=10).to_pandas()
-
-        def recall(centroids: str) -> float:
-            ivf = training.ann_ivf_topk(
-                emb_ds, query_ids=[1, 2, 3], k=10, n_centroids=8, n_probe=4,
-                centroids=centroids,
-            ).to_pandas()
-            r = 0.0
-            for q in (1, 2, 3):
-                b = set(brute[brute["query_id"] == q]["neighbor_id"])
-                v = set(ivf[ivf["query_id"] == q]["neighbor_id"])
-                r += len(b & v) / len(b)
-            return r / 3
-
-        assert recall("kmeans") >= recall("first") - 1e-9
-        c1 = training.kmeans_centroids(emb_ds, 8)
-        c2 = training.kmeans_centroids(emb_ds, 8)
-        assert (c1 == c2).all()
-
-    def test_embedding_near_dup(self, emb_ds):
-        pairs = training.embedding_near_dup_pairs(emb_ds, threshold=0.99).to_pandas()
-        got = {tuple(sorted((int(a), int(b)))) for a, b in zip(pairs["vec_a"], pairs["vec_b"])}
-        assert (10, 50) in got
-
-
 class TestTextStages:
-    def test_text_stats(self, docs_ds):
-        out = training.text_stats(docs_ds).to_pandas()
-        assert len(out) == 24
-        assert (out["ws_tokens"] > 0).all()
-        assert (out["n_chars"] >= out["n_words"]).all()
-
     def test_lang_id_stage(self, ray_session):
         ds = rd.from_pandas(
             pd.DataFrame(
@@ -227,15 +147,6 @@ class TestForcedWideParity:
         assert lbl[20] == lbl[21] == lbl[22] == 20  # near-dup cluster
         assert lbl[23] == lbl[5] == 5  # exact dup subsumed
         assert lbl[0] == 0 and lbl[7] == 7  # singletons
-
-    def test_embedding_near_dup_wide_matches_narrow(self, emb_ds):
-        narrow = training.embedding_near_dup_pairs(emb_ds, threshold=0.99, n_tables=4).to_pandas()
-        wide = training.embedding_near_dup_pairs(
-            emb_ds, threshold=0.99, n_tables=4, wide_doc_rows=0, n_parts=5
-        ).to_pandas()
-        key = lambda df: sorted((int(a), int(b)) for a, b in zip(df["vec_a"], df["vec_b"]))
-        assert (10, 50) in key(wide)
-        assert key(narrow) == key(wide)
 
 
 class TestHashJoin:
@@ -384,135 +295,6 @@ def test_simhash_pairs_kernel_oversized_bucket_stays_connected():
     assert set(out["hamming"].to_pylist()) == {0}
 
 
-class TestKnnSelfJoin:
-    def test_matches_numpy_and_excludes_self(self, emb_ds):
-        out = training.knn_self_join(emb_ds, k=3).to_pandas()
-        assert len(out) == 200 * 3
-        assert (out["query_id"] != out["neighbor_id"]).all()
-        df = emb_ds.to_pandas().sort_values("vec_id")
-        mat = np.vstack(df["embedding"].to_numpy()).astype(np.float64)
-        matn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        sims = matn @ matn.T
-        np.fill_diagonal(sims, -np.inf)
-        for q in (0, 10, 50, 199):
-            expect = np.lexsort((np.arange(200), -sims[q]))[:3]
-            got = out[out["query_id"] == q].sort_values("nn_rank")["neighbor_id"].to_numpy()
-            assert got.tolist() == expect.tolist(), q
-        # the planted near-dup pair must be mutual rank-1 neighbors
-        r1 = out[(out["query_id"] == 10) & (out["nn_rank"] == 1)]["neighbor_id"].item()
-        r2 = out[(out["query_id"] == 50) & (out["nn_rank"] == 1)]["neighbor_id"].item()
-        assert (r1, r2) == (50, 10)
-
-    def test_cosine_ties_break_by_neighbor_id(self, ray_session):
-        # three identical vectors + one orthogonal: for query 7 the two
-        # clones tie at cosine 1.0 -> smaller id first
-        vecs = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]
-        df = pd.DataFrame(
-            {"vec_id": np.array([7, 3, 5, 9], dtype=np.int64), "embedding": [np.array(v, dtype=np.float32) for v in vecs]}
-        )
-        out = training.knn_self_join(rd.from_pandas(df), k=3).to_pandas()
-        got = out[out["query_id"] == 7].sort_values("nn_rank")["neighbor_id"].tolist()
-        assert got == [3, 9, 5]
-
-    def test_forced_wide_matches_broadcast(self, emb_ds):
-        """Above broadcast_rows the join must DISPATCH to the chunked
-        scan, not refuse — and the chunked result must be row-identical
-        to the broadcast path (same per-pair dot products, same
-        (-cosine, neighbor_id) tie order)."""
-        narrow = (
-            training.knn_self_join(emb_ds, k=3)
-            .to_pandas()
-            .sort_values(["query_id", "nn_rank"])
-            .reset_index(drop=True)
-        )
-        wide = (
-            training.knn_self_join(emb_ds, k=3, broadcast_rows=10, chunk_rows=37)
-            .to_pandas()
-            .sort_values(["query_id", "nn_rank"])
-            .reset_index(drop=True)
-        )
-        assert len(narrow) == len(wide) == 200 * 3
-        for c in ["query_id", "neighbor_id", "nn_rank"]:
-            assert narrow[c].tolist() == wide[c].tolist(), c
-
-    def test_forced_wide_tie_break(self, ray_session):
-        # the clone-tie fixture through the chunked path: ties at
-        # cosine 1.0 must still break by neighbor_id across chunks
-        vecs = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]
-        df = pd.DataFrame(
-            {
-                "vec_id": np.array([7, 3, 5, 9], dtype=np.int64),
-                "embedding": [np.array(v, dtype=np.float32) for v in vecs],
-            }
-        )
-        out = training.knn_self_join(
-            rd.from_pandas(df), k=3, broadcast_rows=0, chunk_rows=2
-        ).to_pandas()
-        got = out[out["query_id"] == 7].sort_values("nn_rank")["neighbor_id"].tolist()
-        assert got == [3, 9, 5]
-
-    def test_tiny_corpus_n_below_k_both_paths(self, ray_session):
-        """ADVICE r4: a corpus with fewer than k rows must degrade to
-        k_eff = n-1 neighbors per query on BOTH paths (no shape crash,
-        no self-sentinel rows leaking), and the paths must match."""
-        vecs = [[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]]
-        df = pd.DataFrame(
-            {
-                "vec_id": np.array([2, 5, 9], dtype=np.int64),
-                "embedding": [np.array(v, dtype=np.float32) for v in vecs],
-            }
-        )
-        cols = ["query_id", "neighbor_id", "nn_rank"]
-        narrow = (
-            training.knn_self_join(rd.from_pandas(df), k=5)
-            .to_pandas()
-            .sort_values(["query_id", "nn_rank"])
-            .reset_index(drop=True)
-        )
-        wide = (
-            training.knn_self_join(
-                rd.from_pandas(df), k=5, broadcast_rows=0, chunk_rows=2
-            )
-            .to_pandas()
-            .sort_values(["query_id", "nn_rank"])
-            .reset_index(drop=True)
-        )
-        assert len(narrow) == len(wide) == 3 * 2  # n-1 = 2 neighbors each
-        assert (narrow["query_id"] != narrow["neighbor_id"]).all()
-        for c in cols:
-            assert narrow[c].tolist() == wide[c].tolist(), c
-
-        # single-row corpus: no neighbors at all, empty on both paths
-        one = df.iloc[:1]
-        for kw in ({}, {"broadcast_rows": 0, "chunk_rows": 1}):
-            out = training.knn_self_join(
-                rd.from_pandas(one), k=3, **kw
-            ).to_pandas()
-            assert len(out) == 0
-
-
-class TestCovariancePCA:
-    def test_distributed_cov_is_exact_and_supports_pca(self, ray_session, sf_dir):
-        import pyarrow.parquet as pq
-
-        from searchgov_spider_ray.pipelines.queries import embedding_covariance
-        from searchgov_spider_ray.pipelines.training import _as_matrix
-
-        out = embedding_covariance(sf_dir)
-        mat = _as_matrix(pq.read_table(f"{sf_dir}/embeddings.parquet")["embedding"])
-        q = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
-        n, d = q.shape
-        want = n * (q.T @ q) - np.outer(q.sum(0), q.sum(0))
-        tri = np.zeros((d, d), dtype=np.int64)
-        tri[out["i"].to_numpy(), out["j"].to_numpy()] = out["cov_num"].to_numpy()
-        full = tri + tri.T - np.diag(np.diag(tri))
-        assert np.array_equal(full, want)  # distributed == single-machine, exact
-        # PCA on the distributed covariance matches local full-batch PCA
-        _, v1 = np.linalg.eigh(full.astype(np.float64))
-        _, v2 = np.linalg.eigh(np.cov(mat.T, bias=True))
-        assert abs(float(v1[:, -1] @ v2[:, -1])) > 0.99
-
-
 class TestShuffledPack:
     def test_spans_cover_docs_and_fill_windows(self, ray_session):
         import ray.data as rd
@@ -563,47 +345,6 @@ class TestGlobalShuffle:
         # the order is actually shuffled, not id order
         by_rank = one.sort_values("shuffle_rank")["doc_id"].to_numpy()
         assert not np.array_equal(by_rank, np.sort(by_rank))
-
-
-class TestCentroidAssign:
-    def test_centroids_self_assign_and_cover(self, ray_session):
-        import ray.data as rd
-        from searchgov_spider_ray.pipelines import training
-
-        rng = np.random.RandomState(11)
-        vecs = rng.randn(60, 8)
-        df = pd.DataFrame(
-            {"vec_id": np.arange(60, dtype=np.int64), "embedding": list(vecs)}
-        )
-        ds = rd.from_pandas(df)
-        out = training.centroid_assign(ds, centroid_ids=[0, 1, 2, 3]).to_pandas()
-        assert len(out) == 60
-        got = dict(zip(out["vec_id"], out["cluster_id"]))
-        for c in (0, 1, 2, 3):
-            assert got[c] == c  # a centroid is its own nearest centroid
-        assert set(out["cluster_id"]).issubset({0, 1, 2, 3})
-
-    def test_tie_breaks_to_lowest_centroid_id(self, ray_session):
-        import ray.data as rd
-        from searchgov_spider_ray.pipelines import training
-
-        # two identical centroids: every vector ties, lowest id must win
-        base = np.array([1.0, 0.0, 0.0])
-        df = pd.DataFrame(
-            {
-                "vec_id": np.array([5, 9, 42], dtype=np.int64),
-                "embedding": [base, base, np.array([1.0, 0.1, 0.0])],
-            }
-        )
-        cent = pd.DataFrame(
-            {
-                "vec_id": np.array([5, 9], dtype=np.int64),
-                "embedding": [base, base],
-            }
-        )
-        ds = rd.from_pandas(pd.concat([df], ignore_index=True))
-        out = training.centroid_assign(ds, centroid_ids=[5, 9]).to_pandas()
-        assert (out["cluster_id"] == 5).all()
 
 
 class TestQuotaSample:
