@@ -10,6 +10,9 @@ Prints ONE JSON line:
 on the same inputs, print throughputs + scaling efficiency
 (BASELINE.md records the result — the sandbox evidence for the N vs 4N
 cluster criterion).
+
+--kernels: the link chain's kernels in isolation, no Ray (see
+run_kernel_bench); one JSON line.
 """
 
 from __future__ import annotations
@@ -330,6 +333,102 @@ def main() -> None:
     ray.shutdown()
 
 
+# --kernels: pages per link-chain call, and the kernels it reports
+KERNEL_BATCH_PAGES = (16, 64, 512, 4096)
+KERNEL_STAGES = ("extract", "canon", "hash", "scope", "robots")
+
+
+def run_kernel_bench(reps: int = 3) -> dict:
+    """Thread-CPU ns per extracted link of each link-chain kernel, at
+    each of ``KERNEL_BATCH_PAGES`` pages per call, over one fixed page
+    sample: the first 4,096 200-status pages of the ``wide_bfs``
+    crawlbench corpus at seed 42 (cached under ``.crawlbench/corpora``),
+    scoped as that workload's job. Runs in this process, no Ray.
+
+    The chain is ``extract_links_batch`` then ``_CanonScope``, called as
+    the crawl calls them. ``hash``/``scope``/``robots`` are the
+    inclusive times of ``xxhash64_array``/``JobScope.evaluate``/
+    ``robots_reason``; ``canon`` is the rest of ``_CanonScope``
+    (canonicalize, distinct-URL encoding, the row takes). Each figure is
+    the median over ``reps`` passes over the whole sample."""
+    import functools
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from crawlbench.workloads import WORKLOADS, crawl_job, ensure_corpus
+    from searchgov_spider_ray.pipelines import frontier
+    from searchgov_spider_ray.pipelines.simulator import RobotsRules
+    from searchgov_spider_ray.stages.links import extract_links_batch
+    from searchgov_spider_ray.stages.scope import JobScope
+
+    wl = WORKLOADS["wide_bfs"]
+    root = Path(__file__).resolve().parent
+    cdir, _ = ensure_corpus(root / ".crawlbench" / "corpora", wl, 42)
+    site, _ = crawl_job(wl, 42, num_shards=2)
+    pages = pq.read_table(
+        cdir / "corpus_pages.parquet", columns=["url", "status", "content_type", "body"]
+    )
+    pages = pages.filter(pc.equal(pages["status"], 200)).slice(0, max(KERNEL_BATCH_PAGES))
+    n = len(pages)
+    pages = pages.append_column("seq", pa.array(np.arange(n, dtype=np.int64)))
+    pages = pages.append_column("depth", pa.array(np.ones(n, dtype=np.int32)))
+    scope = JobScope(
+        allowed_domains=site.allowed_domains,
+        deny_paths=site.deny_paths,
+        allow_query_string=site.allow_query_string,
+        depth_limit=site.depth_limit,
+    )
+    chain = frontier._CanonScope(scope, RobotsRules.from_table(pq.read_table(cdir / "robots.parquet")))
+
+    spent = dict.fromkeys(KERNEL_STAGES + ("chain",), 0)
+
+    def timed(fn, stage):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            t0 = time.thread_time_ns()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[stage] += time.thread_time_ns() - t0
+
+        return call
+
+    # the names _CanonScope calls, timed in place for this process
+    frontier.xxhash64_array = timed(frontier.xxhash64_array, "hash")
+    frontier.robots_reason = timed(frontier.robots_reason, "robots")
+    JobScope.evaluate = timed(JobScope.evaluate, "scope")
+    extract = timed(extract_links_batch, "extract")
+    run_chain = timed(chain, "chain")
+
+    ns_per_link: dict[str, dict[str, float]] = {}
+    links = 0
+    for size in KERNEL_BATCH_PAGES:
+        runs = []
+        for _ in range(reps):
+            for k in spent:
+                spent[k] = 0
+            links = 0
+            for a in range(0, n, size):
+                batch = extract(pages.slice(a, size))
+                links += len(batch)
+                run_chain(batch)
+            spent["canon"] = spent["chain"] - spent["hash"] - spent["scope"] - spent["robots"]
+            runs.append({k: spent[k] / links for k in KERNEL_STAGES + ("chain",)})
+        ns_per_link[str(size)] = {
+            k: round(float(np.median([r[k] for r in runs])), 1) for k in runs[0]
+        }
+    return {
+        "metric": "link-chain thread-CPU ns per extracted link, by kernel and pages per call",
+        "pages": n,
+        "links": links,
+        "reps": reps,
+        "ns_per_link": ns_per_link,
+    }
+
+
 def _drop_page_cache() -> bool:
     """Best-effort OS page-cache drop so a --scaling leg starts with
     COLD corpus I/O. Within one invocation the low-CPU leg runs first
@@ -562,7 +661,9 @@ def scaling(
 
 
 if __name__ == "__main__":
-    if "--scaling" in sys.argv:
+    if "--kernels" in sys.argv:
+        print(json.dumps(run_kernel_bench()))
+    elif "--scaling" in sys.argv:
         drop = "--drop-caches" in sys.argv
         retries = (
             int(sys.argv[sys.argv.index("--retries") + 1])

@@ -24,6 +24,7 @@ import hashlib
 import struct
 
 import numpy as np
+import pyarrow as pa
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _P1 = 11400714785074694791
@@ -108,59 +109,51 @@ except ImportError:
 # numpy-wrapped xxHash64 constants (np.uint64 throughout — mixing Python
 # ints with np.uint64 silently upcasts to float64)
 _NP_P1, _NP_P2, _NP_P3, _NP_P4, _NP_P5 = (np.uint64(p) for p in (_P1, _P2, _P3, _P4, _P5))
-_B8_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)  # little-endian byte packs
-_B4_SHIFTS = _B8_SHIFTS[:4]
+# per-lane rotations of the four accumulators' merge
+_LANE_ROT = np.array([1, 7, 12, 18], dtype=np.uint64)
 
 
-def _rot(v: np.ndarray, r: int) -> np.ndarray:
-    return (v << np.uint64(r)) | (v >> np.uint64(64 - r))
-
-
-def _gather_word(buf: np.ndarray, rows: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    b = buf[rows[:, None], off[:, None] + np.arange(len(shifts))].astype(np.uint64)
-    return np.bitwise_or.reduce(b << shifts, axis=1)
+def _rot(v: np.ndarray, r) -> np.ndarray:
+    r = np.uint64(r)  # a shift count, or an array of them
+    return (v << r) | (v >> (np.uint64(64) - r))
 
 
 def _xxhash64_block(buf: np.ndarray, lens: np.ndarray, seed: int) -> np.ndarray:
     """Lockstep xxHash64 over a padded uint8 matrix whose rows are sorted
     by length DESCENDING (so each stripe round operates on a contiguous
-    prefix, no masking). Bit-exact vs the scalar spec implementation."""
+    prefix, no masking). Rows are padded to a multiple of 8 bytes, so
+    every stripe and tail word is an aligned little-endian word of the
+    row. Bit-exact vs the scalar spec implementation."""
     n_rows = len(lens)
     seed &= _MASK
-    lens64 = lens.astype(np.uint64)
-    words = buf.view("<u8")  # rows padded to a multiple of 8 — aligned stripes
+    words = buf.view("<u8")
     nstripes = lens // 32
     h = np.full(n_rows, np.uint64((seed + _P5) & _MASK), dtype=np.uint64)
     n_long = int(np.searchsorted(-nstripes, -1, side="right"))
     if n_long:
-        v1 = np.full(n_long, np.uint64((seed + _P1 + _P2) & _MASK), dtype=np.uint64)
-        v2 = np.full(n_long, np.uint64((seed + _P2) & _MASK), dtype=np.uint64)
-        v3 = np.full(n_long, np.uint64(seed), dtype=np.uint64)
-        v4 = np.full(n_long, np.uint64((seed - _P1) & _MASK), dtype=np.uint64)
+        init = [(seed + _P1 + _P2) & _MASK, (seed + _P2) & _MASK, seed, (seed - _P1) & _MASK]
+        v = np.tile(np.array(init, dtype=np.uint64), (n_long, 1))  # lanes v1..v4
         for s in range(int(nstripes[0])):
             k = int(np.searchsorted(-nstripes, -(s + 1), side="right"))
-            w = words[:k, 4 * s : 4 * s + 4]
-            v1[:k] = _rot(v1[:k] + w[:, 0] * _NP_P2, 31) * _NP_P1
-            v2[:k] = _rot(v2[:k] + w[:, 1] * _NP_P2, 31) * _NP_P1
-            v3[:k] = _rot(v3[:k] + w[:, 2] * _NP_P2, 31) * _NP_P1
-            v4[:k] = _rot(v4[:k] + w[:, 3] * _NP_P2, 31) * _NP_P1
-        hl = _rot(v1, 1) + _rot(v2, 7) + _rot(v3, 12) + _rot(v4, 18)
-        for v in (v1, v2, v3, v4):
-            hl = (hl ^ (_rot(v * _NP_P2, 31) * _NP_P1)) * _NP_P1 + _NP_P4
+            v[:k] = _rot(v[:k] + words[:k, 4 * s : 4 * s + 4] * _NP_P2, 31) * _NP_P1
+        hl = _rot(v, _LANE_ROT).sum(axis=1, dtype=np.uint64)
+        m = _rot(v * _NP_P2, 31) * _NP_P1
+        for lane in range(4):
+            hl = (hl ^ m[:, lane]) * _NP_P1 + _NP_P4
         h[:n_long] = hl
-    h += lens64
-    tail_start = (nstripes * 32).astype(np.int64)
-    r = lens - tail_start  # 0..31 remaining bytes
+    h += lens.astype(np.uint64)
+    tail = nstripes * 4  # word index where each row's tail starts
+    r = lens - nstripes * 32  # 0..31 remaining bytes
     for c in range(3):  # full 8-byte tail words
         rows = np.flatnonzero(r >= 8 * (c + 1))
         if not len(rows):
             break
-        k = _rot(_gather_word(buf, rows, tail_start[rows] + 8 * c, _B8_SHIFTS) * _NP_P2, 31) * _NP_P1
+        k = _rot(words[rows, tail[rows] + c] * _NP_P2, 31) * _NP_P1
         h[rows] = _rot(h[rows] ^ k, 27) * _NP_P1 + _NP_P4
-    off4 = tail_start + (r // 8) * 8
+    off4 = (tail + r // 8) * 8  # byte offset of the 4-byte word, if any
     rows = np.flatnonzero(r % 8 >= 4)
     if len(rows):
-        k = _gather_word(buf, rows, off4[rows], _B4_SHIFTS)
+        k = buf.view("<u4")[rows, off4[rows] // 4].astype(np.uint64)
         h[rows] = _rot(h[rows] ^ (k * _NP_P1), 23) * _NP_P2 + _NP_P3
     off1 = off4 + np.where(r % 8 >= 4, 4, 0)
     for t in range(3):  # trailing single bytes
@@ -182,25 +175,48 @@ def _xxhash64_block(buf: np.ndarray, lens: np.ndarray, seed: int) -> np.ndarray:
 _BLOCK_BYTES = 64 << 20
 
 
+def _binary_array(values) -> pa.Array:
+    """``values`` (an Arrow string/binary array, chunked or not, or any
+    sequence of str/bytes/None) as one Arrow array whose offsets and
+    data buffers hold the UTF-8 bytes; null rows read as b""."""
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    if not isinstance(values, pa.Array):
+        values = pa.array(values, from_pandas=True)
+    if pa.types.is_null(values.type):  # all None (or empty)
+        values = values.cast(pa.binary())
+    large = pa.types.is_large_string(values.type) or pa.types.is_large_binary(values.type)
+    return values.cast(pa.large_binary() if large else pa.binary())  # zero-copy
+
+
 def xxhash64_array(values, seed: int = 0) -> np.ndarray:
     """xxHash64 of each string/bytes in ``values`` → ``np.uint64`` array.
 
-    Vectorized: rows are length-sorted and processed in lockstep numpy
-    blocks (stripe loop over shrinking contiguous prefixes), bit-exact
-    vs the scalar spec implementation / the C library, so checkpoints
-    are portable across both paths. ~20× the pure-Python per-row loop
-    on URL-sized strings; when the C ``xxhash`` extension is available
-    it is used directly instead."""
-    n = len(values)
+    ``values`` is an Arrow string or binary array, or a sequence of
+    str/bytes (None hashes as b""). The kernel reads the Arrow offsets
+    and data buffers directly. Vectorized: rows are length-sorted and
+    processed in lockstep numpy blocks (stripe loop over shrinking
+    contiguous prefixes), bit-exact vs the scalar spec implementation /
+    the C library, so checkpoints are portable across both paths. ~20×
+    the pure-Python per-row loop on URL-sized strings; when the C
+    ``xxhash`` extension is available it is used directly instead."""
+    arr = _binary_array(values)
+    n = len(arr)
     out = np.empty(n, dtype=np.uint64)
     if n == 0:
         return out
     if _HAS_XXHASH_C:
-        for j, v in enumerate(values):
+        for j, v in enumerate(arr.to_pylist()):
             out[j] = xxhash64(v if v is not None else b"", seed)
         return out
-    bs = [v.encode("utf-8") if isinstance(v, str) else (b"" if v is None else bytes(v)) for v in values]
-    lens = np.fromiter((len(b) for b in bs), dtype=np.int64, count=n)
+    _, off_buf, data_buf = arr.buffers()
+    off_type = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    offs = np.frombuffer(off_buf, dtype=off_type, count=n + 1, offset=arr.offset * off_type().itemsize)
+    offs = offs.astype(np.int64)
+    data = np.frombuffer(data_buf, dtype=np.uint8) if data_buf is not None else np.zeros(0, np.uint8)
+    lens = np.diff(offs)
+    if arr.null_count:  # a null slot's bytes are unspecified: hash b""
+        lens[~arr.is_valid().to_numpy(zero_copy_only=False)] = 0
     order = np.argsort(-lens, kind="stable")
     lens_s = lens[order]
     start = 0
@@ -212,10 +228,12 @@ def xxhash64_array(values, seed: int = 0) -> np.ndarray:
         rows = order[start:stop]
         blens = lens_s[start:stop]
         buf = np.zeros((len(rows), padded), dtype=np.uint8)
-        flat = np.frombuffer(b"".join(bs[i] for i in rows), dtype=np.uint8)
-        if len(flat):
-            mask = np.arange(padded)[None, :] < blens[:, None]
-            buf[mask] = flat
+        mask = np.arange(padded)[None, :] < blens[:, None]
+        # byte positions of the block's rows in ``data``, row after row
+        # (the row-major order ``buf[mask]`` fills in)
+        pos = np.arange(int(blens.sum()), dtype=np.int64)
+        pos += np.repeat(offs[rows] - (np.cumsum(blens) - blens), blens)
+        buf[mask] = data[pos]
         out[rows] = _xxhash64_block(buf, blens, seed)
         start = stop
     return out

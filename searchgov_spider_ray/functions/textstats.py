@@ -246,7 +246,6 @@ def quality_scores(texts: pd.Series) -> pd.DataFrame:
 _FP_P = 2147483647  # 2^31 - 1
 _FP_B = 131
 _FP_WINDOW = 64
-_FP_STEP = 32
 _FP_POWS = np.empty(_FP_WINDOW, dtype=np.int64)
 _FP_POWS[0] = 1
 for _k in range(1, _FP_WINDOW):

@@ -30,6 +30,9 @@ import re
 import string
 from urllib.parse import quote, urlsplit
 
+import pyarrow as pa
+import pyarrow.compute as pc
+
 _DEFAULT_PORTS = {"http": "80", "https": "443", "ftp": "21"}
 _UNRESERVED = set(string.ascii_letters + string.digits + "-._~")
 # sub-delims / valid literal chars we keep un-encoded per component.
@@ -112,47 +115,44 @@ def canonicalize(url: str) -> str:
     return out
 
 
-_FAST_SPLIT_RE = re.compile(r"^(https?)://([a-z0-9\-.]+)(/[A-Za-z0-9\-._~:@!$&'()*+,;=/]*)$")
+# A URL already in canonical form: lowercase http(s) scheme; a bare
+# lowercase host of dot-separated non-empty labels (no port, userinfo or
+# trailing dot); a path of unreserved + sub-delim chars, no percent
+# escapes, whose segments are neither empty (but the last) nor "." or
+# ".." — so no "//", "/./" or "/../" and no "/." or "/.." ending; no
+# query or fragment. Such a URL is a fixed point of ``canonicalize``.
+# RE2 syntax (``$`` is the end of text, not before a final newline).
+_PCHAR = "A-Za-z0-9\\-_~:@!$&'()*+,;="  # path-segment chars but "."
+_SEG = rf"(?:[{_PCHAR}]|\.[{_PCHAR}]|\.\.[{_PCHAR}.])[{_PCHAR}.]*"
+_CANONICAL_RE = rf"^https?://[a-z0-9\-]+(?:\.[a-z0-9\-]+)*/(?:{_SEG}/)*(?:{_SEG})?$"
 
 
-def canonicalize_batch(urls) -> "np.ndarray":
-    """Vectorized ``canonicalize`` over an array of URLs.
+def string_array(values) -> pa.Array:
+    """``values`` (an Arrow string array, chunked or not, or any sequence
+    of str/None) as one Arrow string array."""
+    if isinstance(values, pa.ChunkedArray):
+        return values.combine_chunks()
+    if isinstance(values, pa.Array):
+        return values
+    return pa.array(values, type=pa.string(), from_pandas=True)
 
-    Fast path: a URL already in canonical form — lowercase http(s)
-    scheme, lowercase bare host (no port/userinfo/trailing dot),
-    non-empty path of unreserved+sub-delim chars with no percent
-    escapes, no query/fragment, and no ``//`` ``/./`` ``/../``
-    segments — is provably a fixed point of ``canonicalize`` and
-    passes through unchanged. Eligibility is a few pandas str ops;
-    only the residue pays the per-URL Python normalization. Extracted
-    web links are overwhelmingly already canonical, so this removes
-    the hottest per-URL cost in the link-scope stage (equality with
-    the scalar path is pinned by tests)."""
-    import numpy as np  # local: keep module import surface unchanged
-    import pandas as pd
 
-    arr = np.asarray(urls, dtype=object)
-    if len(arr) == 0:
-        return arr.copy()
-    s = pd.Series(arr, dtype="object").astype("string")
-    parts = s.str.extract(_FAST_SPLIT_RE)
-    host, path = parts[1], parts[2]
-    fast = parts[0].notna()
-    fast &= ~host.str.startswith(".").fillna(True)
-    fast &= ~host.str.endswith(".").fillna(True)
-    fast &= ~host.str.contains("..", regex=False).fillna(True)
-    bad_path = (
-        path.str.contains("//", regex=False)
-        | path.str.contains("/./", regex=False)
-        | path.str.contains("/../", regex=False)
-        | path.str.endswith("/.")
-        | path.str.endswith("/..")
-    )
-    fast &= ~bad_path.fillna(True)
-    out = arr.copy()
-    for i in np.flatnonzero(~fast.to_numpy(dtype=bool)):
-        out[i] = canonicalize(out[i])
-    return out
+def canonicalize_batch(urls) -> pa.Array:
+    """``canonicalize`` over an array of URLs, as an Arrow string array.
+
+    Fast path: a URL that matches ``_CANONICAL_RE`` is provably a fixed
+    point of ``canonicalize`` and passes through unchanged; the test is
+    one RE2 pass in ``pyarrow.compute``. Only the residue pays the
+    per-URL Python normalization, spliced back with one
+    ``replace_with_mask``. Extracted web links are overwhelmingly
+    already canonical, so this removes the hottest per-URL cost of the
+    link chain (equality with the scalar path is pinned by tests)."""
+    arr = string_array(urls)
+    slow = pc.invert(pc.match_substring_regex(arr, _CANONICAL_RE))
+    if not pc.any(slow).as_py():
+        return arr
+    fixed = [canonicalize(u) for u in arr.filter(slow).to_pylist()]
+    return pc.replace_with_mask(arr, slow, pa.array(fixed, type=pa.string()))
 
 
 def surt(url: str) -> str:

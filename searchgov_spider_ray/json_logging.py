@@ -24,8 +24,6 @@ import json
 import logging
 from typing import Any
 
-# reference json_logging.py:10-11
-LOG_FMT_FIELDS = ("asctime", "name", "levelname", "message")
 SITEMAP_START_URLS = "Generated from Sitemap"
 
 

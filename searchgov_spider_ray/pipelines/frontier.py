@@ -81,10 +81,13 @@ from ..stages.fetch import CorpusFetcher, ImageAttach, JsFetcher
 from ..stages.links import extract_links_batch
 from ..stages.politeness import RobotsRules, robots_reason
 from ..stages.scope import (
-    DENY_DEPTH,
     DENY_DUPLICATE,
     DENY_ROBOTS,
+    DEPTH_CODE,
     KEEP,
+    KEEP_CODE,
+    REASONS,
+    ROBOTS_CODE,
     JobScope,
     content_type_mask,
 )
@@ -150,6 +153,12 @@ class CrawlRunResult:
     per_round_fetched: list[int] = field(default_factory=list)
 
 
+# host of a canonical URL (its scheme, lowercase, may be empty); reason
+# names indexed by reason code
+_HOST_RE = r"^[a-z0-9+.-]*://(?P<host>[^/:?#]*)"
+_REASON_NAMES = pa.array(REASONS.tolist(), type=pa.string())
+
+
 class _CanonScope:
     """map_batches kernel: extracted links → canonical child rows with
     deny reasons (scope order pinned in stages/scope.py) + robots."""
@@ -159,56 +168,47 @@ class _CanonScope:
         self.robots = robots
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # Canonicalize/hash each DISTINCT raw URL once per batch — link
-        # batches repeat URLs heavily (nav links shared across pages),
-        # and canonicalize + pure-Python xxhash64 are the round's
-        # hottest per-URL costs.
-        raw = np.asarray(batch["url"].to_pylist(), dtype=object)
-        uniq, inv = np.unique(raw, return_inverse=True)
-        canon_u = canonicalize_batch(uniq)
+        # Every per-URL step runs once per DISTINCT raw URL of the batch
+        # (link batches repeat URLs heavily: nav links shared across
+        # pages) and goes back to rows with one take over the dictionary
+        # indices. Canonicalize, hash, scope and robots are Arrow
+        # passes over the distinct URLs.
+        enc = pc.dictionary_encode(batch["url"].combine_chunks())
+        idx = enc.indices
+        canon_u = canonicalize_batch(enc.dictionary)
         hash_u = xxhash64_array(canon_u)
         # canonical form is scheme://host[:port]/... with host already
-        # lowercased and dot-stripped — host extraction is one
-        # vectorized regex instead of a urlsplit per URL (equivalence
-        # with host_of pinned by simulator parity tests).
-        host_u = (
-            pd.Series(canon_u, dtype="object")
-            .str.extract(r"://([^/:?#]*)", expand=False)
-            .fillna("")
-            .to_numpy(dtype=object)
-        )
-        # Scope + robots run on the DISTINCT canonical URLs too (the
-        # deny reason depends only on the URL, except depth) and the
-        # per-unique reason broadcasts back via ``inv``. Precedence
-        # stays extension → deny_path → offsite → query → depth →
-        # robots: depth is stamped on the full rows BEFORE robots, so a
-        # too-deep URL reports "depth" exactly as the all-rows pass did.
-        su = pd.Series(canon_u, dtype="object")
-        reason_u = self.scope.evaluate(su).to_numpy(dtype=object)
-        keep_u = reason_u == KEEP
-        robots_bad_u = np.zeros(len(canon_u), dtype=bool)
-        if keep_u.any():
-            kidx = np.where(keep_u)[0]
-            robots_bad_u[kidx[robots_reason(su[keep_u], self.robots)]] = True
+        # lowercased and dot-stripped (equivalence with host_of pinned
+        # by simulator parity tests)
+        host_u = pc.fill_null(pc.struct_field(pc.extract_regex(canon_u, _HOST_RE), "host"), "")
+        # The deny reason depends only on the URL, except depth: depth is
+        # stamped on the rows BEFORE robots, so precedence stays
+        # extension → deny_path → offsite → query → depth → robots.
+        code_u = np.searchsorted(REASONS, self.scope.evaluate(canon_u)).astype(np.int8)
+        kidx = np.flatnonzero(code_u == KEEP_CODE)
+        robots_u = np.zeros(len(canon_u), dtype=bool)
+        if len(kidx):
+            kept = canon_u.take(pa.array(kidx, type=pa.int64()))
+            robots_u[kidx[robots_reason(kept, self.robots)]] = True
 
-        canon = canon_u[inv]
+        rows = idx.to_numpy(zero_copy_only=False)
         child_depth = pc.add(batch["parent_depth"], 1).cast(pa.int32())
-        reason = reason_u[inv].copy()
-        keep = reason == KEEP
+        code = code_u[rows]
+        keep = code == KEEP_CODE
         too_deep = child_depth.to_numpy() > self.scope.depth_limit
-        reason[too_deep & keep] = DENY_DEPTH
-        reason[robots_bad_u[inv] & ~too_deep & keep] = DENY_ROBOTS
+        code[too_deep & keep] = DEPTH_CODE
+        code[robots_u[rows] & ~too_deep & keep] = ROBOTS_CODE
         # parent_url is link-extractor lineage nothing downstream reads —
         # dropping it here halves the bytes every candidate exchange
         # (materialize, sort, repartition) moves this round.
         out = batch.drop_columns(
             ["url", "parent_url"] if "parent_url" in batch.column_names else ["url"]
         )
-        out = out.append_column("url", pa.array(canon, type=pa.string()))
+        out = out.append_column("url", pc.take(canon_u, idx))
         out = out.append_column("depth", child_depth)
-        out = out.append_column("domain", pa.array(host_u[inv], type=pa.string()))
-        out = out.append_column("url_hash", pa.array(hash_u[inv], type=pa.uint64()))
-        out = out.append_column("reason", pa.array(reason.astype(str), type=pa.string()))
+        out = out.append_column("domain", pc.take(host_u, idx))
+        out = out.append_column("url_hash", pc.take(pa.array(hash_u), idx))
+        out = out.append_column("reason", pc.take(_REASON_NAMES, pa.array(code)))
         return out
 
 
@@ -796,7 +796,11 @@ class _DatasetRound:
         self.batch_size = {"links": cfg.fetch_batch_size, "images": cfg.decode_batch_size}
 
     def read(self, k: int) -> tuple:
-        return _materialize(rd.read_parquet(str(self.runner.ckpt.frontier_dir(k))))
+        # one block per checkpoint file: the writer already chose the
+        # partitioning, and Ray Data's default would split a small file
+        fdir = self.runner.ckpt.frontier_dir(k)
+        files = len(list(fdir.glob("*.parquet")))
+        return _materialize(rd.read_parquet(str(fdir), override_num_blocks=max(1, files)))
 
     def share(self, obj):
         return ray.put(obj)
@@ -986,16 +990,13 @@ class CrawlJobRunner:
     # --- seed admission (round 0 bootstrap; tiny, driver-side) ----------
     def _admit_seeds(self) -> tuple[pa.Table, list[dict]]:
         urls = [canonicalize(u) for u in self.site.starting_urls]
-        denied: list[dict] = []
-        rows = []
-        for url in urls:
-            reason = self.scope.evaluate(pd.Series([url]), np.array([0])).iloc[0]
-            if reason == KEEP and not self.robots.allowed(url):
-                reason = DENY_ROBOTS
-            if reason != KEEP:
-                denied.append({"url": url, "reason": reason, "round": -1})
-                continue
-            rows.append(url)
+        reason = self.scope.evaluate(urls, np.zeros(len(urls), dtype=np.int64))
+        kidx = np.flatnonzero(reason == KEEP)
+        reason[kidx[robots_reason([urls[i] for i in kidx], self.robots)]] = DENY_ROBOTS
+        denied = [
+            {"url": u, "reason": str(r), "round": -1} for u, r in zip(urls, reason) if r != KEEP
+        ]
+        rows = [u for u, r in zip(urls, reason) if r == KEEP]
         hashes = xxhash64_array(rows)
         shard_of = hashes % np.uint64(max(1, self.cfg.num_shards))
         novel = np.zeros(len(rows), dtype=bool)

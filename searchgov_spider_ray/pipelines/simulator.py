@@ -173,7 +173,7 @@ def simulate_crawl(
     seed_candidates: list[tuple[int, int, int, str]] = []
     for i, raw in enumerate(site.starting_urls):
         url = canonicalize(raw)
-        reason = scope.evaluate(pd.Series([url]), [0]).iloc[0]
+        reason = scope.evaluate(pd.Series([url]), [0])[0]
         if reason == KEEP and not robots.allowed(url):
             reason = DENY_ROBOTS
         if reason != KEEP:
@@ -226,7 +226,7 @@ def simulate_crawl(
                 body = render_js_body(body)
             for link_seq, child in enumerate(extract_links(url, body)):
                 curl = canonicalize(child)
-                reason = scope.evaluate(pd.Series([curl]), [depth + 1]).iloc[0]
+                reason = scope.evaluate(pd.Series([curl]), [depth + 1])[0]
                 if reason == KEEP and not robots.allowed(curl):
                     reason = DENY_ROBOTS
                 if reason != KEEP:

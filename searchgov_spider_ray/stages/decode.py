@@ -13,11 +13,10 @@ M13).
 CODEC IS A CLEARLY-MARKED STUB: this container has no image libraries
 (no PIL/libjpeg), so ``fake_encode``/``fake_decode`` implement a
 deterministic zlib-based codec with a real lossy mode (uniform
-quantization, worst-case PSNR ≈ 43 dB — inside the ≥40 dB contract).
-``RealCodec`` raises ``NotImplementedError`` and is the swap-in point
-for PIL/turbojpeg on a real cluster. Everything else — schema, batch
-sizing, actor signature, output layout, PSNR/phash math — is real and
-tested.
+quantization, worst-case PSNR ≈ 43 dB — inside the ≥40 dB contract);
+PIL/turbojpeg swap in for it on a real cluster. Everything else —
+schema, batch sizing, actor signature, output layout, PSNR/phash math —
+is real and tested.
 """
 
 from __future__ import annotations
@@ -67,14 +66,6 @@ def fake_decode(data: bytes) -> tuple[np.ndarray, int, int, str]:
         raise ValueError(f"bad magic {magic!r}")
     pixels = np.frombuffer(zlib.decompress(data[12:]), dtype=np.uint8).reshape(h, w, 3)
     return pixels, w, h, fmt
-
-
-class RealCodec:
-    """Swap-in point for a real decoder (PIL / turbojpeg) on a cluster
-    with image libraries installed. Not available in this container."""
-
-    def decode(self, data: bytes):  # pragma: no cover - explicit stub
-        raise NotImplementedError("image libraries are not installed in this environment")
 
 
 # --- perceptual hash ------------------------------------------------------

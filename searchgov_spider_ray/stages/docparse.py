@@ -76,12 +76,6 @@ _STOP = frozenset(
     "from or have an they which one you were her all she there would their we him been "
     "has when who will more no if out so said what its about into than them can only".split()
 )
-# meta tag names the reference harvests (parse_html_scrapy.py:24-38)
-META_KEYS = [
-    "description", "og:description", "og:title", "keywords", "article:tag",
-    "dc.date", "dcterms.created", "article:published_time", "article:modified_time",
-    "dc.language", "og:image", "audience",
-]
 
 
 def parse_date_safely(value) -> str | None:

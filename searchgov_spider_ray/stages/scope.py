@@ -16,13 +16,13 @@ Reference semantics (pinned by tests in
   - depth limited to ``depth_limit`` (settings.py:58,
     spiders/domain_spider.py:121-134).
 
-``JobScope`` compiles all patterns ONCE per job; ``evaluate`` is a
-vectorized pandas pass over a URL batch returning a keep-mask plus a
-deny-reason column (feeds ``golden_denied`` parity,
-/root/repo/FIXTURES.md §5). Deny reasons are assigned in the fixed
-order extension → deny_path → offsite → query_string → depth, mirroring
-where each filter sits in the reference pipeline (extraction →
-middleware → scheduler).
+``JobScope`` compiles all patterns ONCE per job; ``evaluate`` runs over
+a URL batch as ``pyarrow.compute`` passes and returns the deny reason
+per URL (feeds ``golden_denied`` parity, FIXTURES.md §5). Deny reasons
+are assigned in the fixed order extension → deny_path → offsite →
+query_string → depth, mirroring where each filter sits in the reference
+pipeline (extraction → middleware → scheduler). Inside the link chain a
+reason travels as an int8 code (its index in ``REASONS``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.urlnorm import string_array
 
 FILTER_EXTENSIONS = [
     # archives
@@ -55,8 +59,11 @@ FILTER_EXTENSIONS = [
 
 _URL_ENTRY = re.compile(r"^https?://.*$")
 _PORT_ENTRY = re.compile(r":\d+$")
-_HOST_OF = re.compile(r"^[a-z][a-z0-9+.-]*://([^/:?#]+)")
-_PATH_OF = re.compile(r"^[a-z][a-z0-9+.-]*://[^/?#]*([^?#]*)")
+# RE2 patterns: the host (up to a port) of scheme://netloc/path, and the
+# prefix of a URL whose path follows
+_SCHEME = r"^[a-z][a-z0-9+.-]*://"
+_HOST_OF = _SCHEME + r"(?P<host>[^/:?#]*)"
+_PATH_START = _SCHEME + r"[^/?#]*/"
 
 KEEP = ""
 DENY_EXTENSION = "extension"
@@ -66,6 +73,33 @@ DENY_QUERY = "query_string"
 DENY_DEPTH = "depth"
 DENY_ROBOTS = "robots"
 DENY_DUPLICATE = "duplicate"
+
+# Every reason, sorted: a reason's int8 code is its index here, so
+# ``REASONS[codes]`` names codes and ``np.searchsorted(REASONS, names)``
+# codes names.
+REASONS = np.array(
+    sorted(
+        [KEEP, DENY_EXTENSION, DENY_PATH, DENY_OFFSITE, DENY_QUERY, DENY_DEPTH, DENY_ROBOTS,
+         DENY_DUPLICATE]
+    )
+)
+KEEP_CODE, EXTENSION_CODE, PATH_CODE, OFFSITE_CODE, QUERY_CODE, DEPTH_CODE, ROBOTS_CODE = (
+    np.int8(np.searchsorted(REASONS, r))
+    for r in (KEEP, DENY_EXTENSION, DENY_PATH, DENY_OFFSITE, DENY_QUERY, DENY_DEPTH, DENY_ROBOTS)
+)
+
+
+def _stamp(codes: np.ndarray, hit, code: np.int8) -> None:
+    """Set ``code`` on the rows of ``hit`` (a boolean numpy or Arrow
+    array) that are still in scope."""
+    codes[np.asarray(hit) & (codes == KEEP_CODE)] = code
+
+
+def _search_rows(rx: re.Pattern, urls: pa.Array, rows: np.ndarray) -> np.ndarray:
+    """Rows of ``rows`` whose URL ``rx`` searches successfully (Python
+    ``re``: user regexes keep their Python meaning)."""
+    sub = urls.take(pa.array(rows, type=pa.int64())).to_pylist()
+    return rows[np.fromiter((rx.search(u) is not None for u in sub), bool, len(rows))]
 
 
 @dataclass
@@ -97,9 +131,9 @@ class JobScope:
             path_scoped.append(re.escape(entry))
         self._host_re = re.compile(rf"^(.*\.)?({'|'.join(hosts)})$") if hosts else None
         # exact-host fast path: the common case is a direct host match;
-        # the alternation regex only runs on hosts that miss the sorted
-        # exact set (subdomains, junk)
-        self._hosts_sorted = np.sort(np.array(raw_hosts, dtype="U")) if raw_hosts else None
+        # the alternation regex only runs on hosts outside the exact set
+        # (subdomains, junk)
+        self._hosts = pa.array(raw_hosts, type=pa.string())
         # full-URL contains over ALL entries (middlewares.py:168-195).
         # When NO entry carries a path component the pass is skipped
         # entirely (None): a URL whose host matched necessarily CONTAINS
@@ -111,50 +145,53 @@ class JobScope:
         )
         deny = [d for d in (self.deny_paths or []) if d]
         self._deny_re = re.compile("|".join(deny)) if deny else None
+        # the path (up to a query or fragment) ends in a denied extension
         exts = "|".join(re.escape(e) for e in FILTER_EXTENSIONS)
-        self._ext_re = re.compile(rf"\.(?:{exts})$", re.IGNORECASE)
+        self._ext_re = _PATH_START + rf"[^?#]*\.(?i:{exts})(?:[?#]|$)"
 
-    def evaluate(self, urls: pd.Series, depths: np.ndarray | None = None) -> pd.Series:
-        """Deny reason per URL ("" = in scope). Vectorized pandas pass."""
-        urls = urls.astype("string").fillna("")
-        reason = pd.Series(np.full(len(urls), KEEP, dtype=object), index=urls.index)
-        hosts = urls.str.extract(_HOST_OF, expand=False).fillna("")
-        paths = urls.str.extract(_PATH_OF, expand=False).fillna("")
+    def evaluate(self, urls, depths=None) -> np.ndarray:
+        """Deny reason per URL ("" = in scope) as a numpy str array.
 
-        ext_bad = paths.str.contains(self._ext_re, regex=True).fillna(False).to_numpy(dtype=bool)
-        reason[ext_bad & (reason == KEEP).to_numpy()] = DENY_EXTENSION
+        ``urls`` is an Arrow string array or any sequence of str (a
+        pandas Series too); ``depths`` the URLs' depths, if the depth
+        limit applies. The fixed patterns (extension, host, query) are
+        RE2 passes over the whole batch, so their ``$`` is the end of the
+        URL, never before a final newline (canonical URLs hold none).
+        The user's ``deny_paths`` regexes, path-scoped
+        ``allowed_domains`` entries and subdomain hosts keep Python
+        ``re`` and run on the rows still in scope only."""
+        urls = pc.fill_null(string_array(urls), "")
+        codes = np.full(len(urls), KEEP_CODE, dtype=np.int8)
+        if len(urls) == 0:
+            return REASONS[codes]
+        _stamp(codes, pc.match_substring_regex(urls, self._ext_re), EXTENSION_CODE)
 
         if self._deny_re is not None:
-            deny_bad = urls.str.contains(self._deny_re, regex=True).fillna(False).to_numpy(dtype=bool)
-            reason[deny_bad & (reason == KEEP).to_numpy()] = DENY_PATH
+            rows = np.flatnonzero(codes == KEEP_CODE)
+            codes[_search_rows(self._deny_re, urls, rows)] = PATH_CODE
 
         if self._host_re is not None:
-            # exact membership first (searchsorted on the sorted host
-            # set); the subdomain alternation regex only runs on misses
-            harr = hosts.to_numpy(dtype="U")
-            pos = np.searchsorted(self._hosts_sorted, harr)
-            pos_c = np.minimum(pos, len(self._hosts_sorted) - 1)
-            host_ok = self._hosts_sorted[pos_c] == harr
-            miss = ~host_ok
-            if miss.any():
-                host_ok[miss] = (
-                    hosts[miss].str.match(self._host_re).fillna(False).to_numpy(dtype=bool)
+            hosts = pc.fill_null(pc.struct_field(pc.extract_regex(urls, _HOST_OF), "host"), "")
+            host_ok = pc.is_in(hosts, value_set=self._hosts).to_numpy(zero_copy_only=False)
+            miss = np.flatnonzero(~host_ok & (codes == KEEP_CODE))
+            if len(miss):
+                sub = hosts.take(pa.array(miss, type=pa.int64())).to_pylist()
+                host_ok[miss] = np.fromiter(
+                    (self._host_re.match(h) is not None for h in sub), bool, len(miss)
                 )
             if self._path_re is not None:
-                path_ok = urls.str.contains(self._path_re, regex=True).fillna(False).to_numpy(dtype=bool)
-                offsite = ~(host_ok & path_ok)
-            else:
-                offsite = ~host_ok
-            reason[offsite & (reason == KEEP).to_numpy()] = DENY_OFFSITE
+                path_ok = np.zeros(len(urls), dtype=bool)
+                keep = np.flatnonzero(host_ok & (codes == KEEP_CODE))
+                path_ok[_search_rows(self._path_re, urls, keep)] = True
+                host_ok &= path_ok
+            _stamp(codes, ~host_ok, OFFSITE_CODE)
 
         if not self.allow_query_string:
-            has_q = urls.str.contains("?", regex=False).to_numpy(dtype=bool)
-            reason[has_q & (reason == KEEP).to_numpy()] = DENY_QUERY
+            _stamp(codes, pc.match_substring(urls, "?"), QUERY_CODE)
 
         if depths is not None:
-            too_deep = np.asarray(depths) > self.depth_limit
-            reason[too_deep & (reason == KEEP).to_numpy()] = DENY_DEPTH
-        return reason
+            _stamp(codes, np.asarray(depths) > self.depth_limit, DEPTH_CODE)
+        return REASONS[codes]
 
 
 ALLOWED_CONTENT_TYPE = [

@@ -301,7 +301,7 @@ class TestCanonicalizeTotal:
             out = urlnorm.canonicalize(u)
             assert out.startswith("invalid://"), out
         # batch path routes the same inputs through the scalar fallback
-        outs = urlnorm.canonicalize_batch(np.array(bad, dtype=object))
+        outs = urlnorm.canonicalize_batch(np.array(bad, dtype=object)).to_pylist()
         assert all(o.startswith("invalid://") for o in outs)
 
     def test_invalid_form_is_offsite_denied(self):
@@ -309,7 +309,7 @@ class TestCanonicalizeTotal:
 
         scope = JobScope(allowed_domains=["example.gov"])
         canon = urlnorm.canonicalize("http://h:8o80/x")
-        reason = scope.evaluate(pd.Series([canon], dtype="object")).iloc[0]
+        reason = scope.evaluate(pd.Series([canon], dtype="object"))[0]
         assert reason == "offsite"
 
 

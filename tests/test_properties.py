@@ -41,7 +41,7 @@ class TestCanonicalizeProperties:
     def test_batch_matches_scalar(self, raws):
         urls = ["https://a.gov/" + r for r in raws]
         batch = urlnorm.canonicalize_batch(np.array(urls, dtype=object))
-        assert list(batch) == [urlnorm.canonicalize(u) for u in urls]
+        assert batch.to_pylist() == [urlnorm.canonicalize(u) for u in urls]
 
 
 class TestHashProperties:

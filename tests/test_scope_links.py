@@ -32,7 +32,7 @@ class TestJobScope:
         )
 
     def eval1(self, url, depth=1, scope=None):
-        return (scope or self.scope).evaluate(pd.Series([url]), np.array([depth])).iloc[0]
+        return (scope or self.scope).evaluate(pd.Series([url]), np.array([depth]))[0]
 
     def test_in_scope(self):
         assert self.eval1("https://example.gov/a.html") == KEEP
@@ -264,3 +264,116 @@ def test_link_cap_bounds_admission_key():
     assert len(out) == MAX_LINKS_PER_PAGE
     assert out[0] == "https://site.gov/p0.html"
     assert out[-1] == f"https://site.gov/p{MAX_LINKS_PER_PAGE - 1}.html"
+
+
+class TestCanonScopeOracle:
+    """The Arrow link chain (``_CanonScope``) row by row against a
+    per-URL oracle written here from ``canonicalize``, ``re`` and
+    ``urlsplit`` only. It shares no code with ``JobScope.evaluate`` or
+    ``robots_reason``, which the simulator also uses (so parity with
+    the simulator cannot catch a bug in them)."""
+
+    ALLOWED = ["example.gov", "other.gov/docs"]  # one path-scoped entry
+    DENY = [r"/tag/\d+"]
+    DEPTH_LIMIT = 3
+    DISALLOW = {
+        "example.gov": ["/private", "/tmp"],
+        "sub.example.gov": ["/"],
+        "other.gov": ["/docs/secret"],
+    }
+    LINKS = [  # (raw url, parent depth)
+        ("https://example.gov/a.html", 0),
+        ("https://example.gov/a.html", 3),            # same URL, too deep
+        ("https://example.gov/Photo.JPG", 0),         # mixed-case extension
+        ("https://example.gov/x.tar.gz", 0),
+        ("https://example.gov/tag/12/x.html", 0),     # deny_paths regex
+        ("https://example.gov/tag/x.html", 0),
+        ("https://elsewhere.gov/a.html", 0),          # offsite host
+        ("https://notexample.gov/a.html", 0),
+        ("https://other.gov/docs/a.html", 0),         # path-scoped entry
+        ("https://other.gov/misc/a.html", 0),         # host ok, path not
+        ("https://other.gov/docs/secret/a.html", 1),  # robots, third host
+        ("https://example.gov/a?x=1", 0),             # query string
+        ("https://example.gov/private/p.html", 1),    # robots
+        ("https://example.gov/private/p.html", 3),    # depth before robots
+        ("https://example.gov/private/p.html", 2),
+        ("https://sub.example.gov/a.html", 0),        # subdomain: robots "/"
+        ("https://deep.sub.example.gov/b.html", 0),   # subdomain, no rules
+        # non-canonical raw URLs (the per-URL slow path)
+        ("HTTPS://Example.GOV:443/a/../tmp/b.html", 0),
+        ("https://example.gov/c.html\n", 0),
+        ("https://example.gov//c.html", 0),
+        ("https://user:pw@Sub.Example.gov./z", 2),
+        ("https://example.gov/%7Euser/d.PNG", 0),
+        ("https://example.gov", 1),
+        ("https://example.gov/a.html#frag", 0),
+        ("https://example.gov/q?b=2&a=1", 0),
+    ]
+
+    def _oracle(self, raw: str, parent_depth: int) -> tuple[str, str, str, int]:
+        import re
+        from urllib.parse import urlsplit
+
+        from searchgov_spider_ray.functions.urlnorm import canonicalize
+        from searchgov_spider_ray.stages.scope import FILTER_EXTENSIONS
+
+        url = canonicalize(raw)
+        parts = urlsplit(url)
+        host = parts.netloc.split(":")[0]
+        path = parts.path or "/"
+        depth = parent_depth + 1
+        host_ok = any(host == e.split("/")[0] or host.endswith("." + e.split("/")[0])
+                      for e in self.ALLOWED)
+        if any(path.lower().endswith("." + e) for e in FILTER_EXTENSIONS):
+            reason = "extension"
+        elif any(re.search(d, url) for d in self.DENY):
+            reason = "deny_path"
+        elif not (host_ok and any(e in url for e in self.ALLOWED)):
+            reason = "offsite"
+        elif "?" in url:
+            reason = "query_string"
+        elif depth > self.DEPTH_LIMIT:
+            reason = "depth"
+        elif any(path.startswith(p) for p in self.DISALLOW.get(host, [])):
+            reason = "robots"
+        else:
+            reason = ""
+        return url, host, reason, depth
+
+    def test_rows_match_oracle(self):
+        import pyarrow as pa
+
+        from searchgov_spider_ray.functions.hashing import xxhash64
+        from searchgov_spider_ray.pipelines.frontier import _CanonScope
+        from searchgov_spider_ray.pipelines.simulator import RobotsRules
+
+        scope = JobScope(self.ALLOWED, deny_paths=self.DENY, depth_limit=self.DEPTH_LIMIT)
+        chain = _CanonScope(scope, RobotsRules(disallow=self.DISALLOW, crawl_delay={}))
+        n = len(self.LINKS)
+        batch = pa.table(
+            {
+                "parent_url": ["https://example.gov/"] * n,
+                "parent_seq": pa.array(range(n), type=pa.int64()),
+                "parent_depth": pa.array([d for _, d in self.LINKS], type=pa.int32()),
+                "url": [u for u, _ in self.LINKS],
+                "link_seq": pa.array([0] * n, type=pa.int64()),
+            }
+        )
+        out = chain(batch)
+        assert out.column_names == [
+            "parent_seq", "parent_depth", "link_seq", "url", "depth", "domain", "url_hash",
+            "reason",
+        ]
+        got = out.to_pylist()
+        reasons = set()
+        for (raw, pdepth), row in zip(self.LINKS, got):
+            url, host, reason, depth = self._oracle(raw, pdepth)
+            assert (row["url"], row["domain"], row["reason"], row["depth"]) == (
+                url, host, reason, depth
+            ), raw
+            assert row["url_hash"] == xxhash64(url), raw
+            reasons.add(reason)
+        # the batch exercises every reason the chain can give
+        assert reasons == {
+            "", "extension", "deny_path", "offsite", "query_string", "depth", "robots"
+        }

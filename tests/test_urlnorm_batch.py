@@ -35,12 +35,14 @@ CASES = [
     "ftp://a.gov/x",
     "https://a.gov/ümlaut",
     "  https://a.gov/x\t",                 # whitespace strip
+    "https://a.gov/x\n",                   # trailing newline strip
+    "https://a.gov/x/\n",
     "",
 ]
 
 
 def test_batch_matches_scalar():
-    got = canonicalize_batch(np.array(CASES, dtype=object))
+    got = canonicalize_batch(np.array(CASES, dtype=object)).to_pylist()
     want = [canonicalize(u) for u in CASES]
     for u, g, w in zip(CASES, got, want):
         assert g == w, f"{u!r}: batch={g!r} scalar={w!r}"
