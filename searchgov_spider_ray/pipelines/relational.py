@@ -21,17 +21,6 @@ the exchange (combiner pushdown).
 
 Keys may be integer (cast to int64) or string (partitioned by the
 lockstep-vectorized ``xxhash64_array``, the repo-standard string hash).
-
-Skew: a pathologically hot join key concentrates its rows in one
-partition. ``salt_hot=True`` enables the standard fix — a cheap
-key-count partial pass over the left (N) side detects keys whose global
-count exceeds ``hot_factor`` × the expected per-partition mean, the
-left side's hot rows are salted across ``n_salts`` partitions, and the
-right (1 / key) side's hot rows are REPLICATED into each salted
-partition. Replication makes the per-partition merge exact for inner
-and anti, but it splits a hot key's merged rows across partitions — so
-with ``salt_hot`` a ``post`` kernel must be a true combiner
-(re-combined downstream), never a finalizer. Off by default.
 """
 
 from __future__ import annotations
@@ -48,8 +37,6 @@ import ray.data as rd
 from ..functions.hashing import xxhash64_array
 from ..functions.simdedup import hash_part as _key_part  # shared partitioner
 
-_SALT_STEP = np.uint64(0xC2B2AE3D27D4EB4F)  # xxhash prime2: decorrelates salted parts
-
 
 def _part_of(keys: np.ndarray, n_parts: int) -> np.ndarray:
     """Partition id for int64 or string key arrays (shared partitioner;
@@ -59,40 +46,6 @@ def _part_of(keys: np.ndarray, n_parts: int) -> np.ndarray:
     return _key_part(xxhash64_array(keys), n_parts)
 
 
-def _salted_left_parts(
-    base_part: np.ndarray, is_hot: np.ndarray, n_salts: int, n_parts: int
-) -> np.ndarray:
-    """Hot left (N-side) rows fan out across ``n_salts`` partitions,
-    spread deterministically by row position (no RNG — stable under
-    task retry); cold rows keep their base partition."""
-    part = base_part.copy()
-    if is_hot.any():
-        base = base_part.astype(np.uint64)
-        salt = np.arange(len(base_part), dtype=np.uint64) % np.uint64(n_salts)
-        part[is_hot] = (
-            (base[is_hot] + salt[is_hot] * _SALT_STEP) % np.uint64(n_parts)
-        ).astype(np.int32)
-    return part
-
-
-def _replicated_right_parts(
-    base_part: np.ndarray, is_hot: np.ndarray, n_salts: int, n_parts: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hot right (1-per-key side) rows are REPLICATED into every salted
-    partition their left counterparts can land in. Returns (take_idx,
-    part): row indices into the original batch (hot rows appearing
-    ``n_salts`` times) and the partition id per taken row."""
-    hot_idx = np.flatnonzero(is_hot)
-    cold_idx = np.flatnonzero(~is_hot)
-    rep_idx = np.repeat(hot_idx, n_salts)
-    salt = np.tile(np.arange(n_salts, dtype=np.uint64), len(hot_idx))
-    base = base_part.astype(np.uint64)
-    rep_part = ((base[rep_idx] + salt * _SALT_STEP) % np.uint64(n_parts)).astype(np.int32)
-    take_idx = np.concatenate([cold_idx, rep_idx])
-    part = np.concatenate([base_part[cold_idx], rep_part])
-    return take_idx, part
-
-
 def hash_join(
     left: rd.Dataset,
     right: rd.Dataset,
@@ -100,9 +53,6 @@ def hash_join(
     n_parts: int = 64,
     how: str = "inner",
     post: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-    salt_hot: bool = False,
-    n_salts: int = 8,
-    hot_factor: float = 2.0,
 ) -> rd.Dataset:
     """Hash-partitioned equi-join on key ``on`` (int or string);
     non-key column names must be disjoint. ``post`` (optional) is
@@ -135,14 +85,6 @@ def hash_join(
     key_type = _arrow_type(left.schema().types[left.schema().names.index(on)])
     string_key = pa.types.is_string(key_type) or pa.types.is_large_string(key_type)
 
-    hot_ref = None
-    if salt_hot:
-        hot = _detect_hot_keys(left, on, string_key, n_parts, hot_factor)
-        if len(hot):
-            # store the Arrow value set once — batches reuse it directly
-            hot_ref = ray.put(pa.array(hot))
-        n_salts = max(int(n_salts), 1)
-
     def _keys_np(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
         # PARTITIONING view of the key column: nulls are filled with a
         # fixed sentinel so a nullable batch never changes dtype — an
@@ -156,29 +98,10 @@ def hash_join(
         return pc.fill_null(arr, 0).to_numpy(zero_copy_only=False).astype(np.int64)
 
     def prep(side: int, own: list[str], other_schema: dict):
-        # side 0 = left (N side: hot rows salted across n_salts parts);
-        # side 1 = right (1-per-key side: hot rows replicated per salt)
+        # side 0 = left, side 1 = right
         def kernel(t: pa.Table) -> pa.Table:
             keys = t[on] if string_key else pc.cast(t[on], pa.int64())
-            np_keys = _keys_np(keys)
-            part = _part_of(np_keys, n_parts)
-            take_idx = None
-            if hot_ref is not None:
-                hot_keys = ray.get(hot_ref)  # local object store; zero-copy
-                is_hot = (
-                    pc.fill_null(pc.is_in(keys, value_set=hot_keys), False)
-                    .to_numpy(zero_copy_only=False)
-                )
-                if is_hot.any():
-                    if side == 0:
-                        part = _salted_left_parts(part, is_hot, n_salts, n_parts)
-                    else:
-                        take_idx, part = _replicated_right_parts(
-                            part, is_hot, n_salts, n_parts
-                        )
-            if take_idx is not None:
-                t = t.take(pa.array(take_idx, type=pa.int64()))
-                keys = t[on] if string_key else pc.cast(t[on], pa.int64())
+            part = _part_of(_keys_np(keys), n_parts)
             n = len(t)
             cols = {
                 on: keys,
@@ -228,38 +151,6 @@ def hash_join(
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     return tagged.groupby("__part").map_groups(merge, batch_format="pyarrow")
-
-
-def _detect_hot_keys(
-    ds: rd.Dataset, on: str, string_key: bool, n_parts: int, hot_factor: float
-):
-    """One cheap partial pass: per-batch top key counts (bounded to 16
-    keys per batch) combined on the driver; a key is HOT when its
-    global count exceeds hot_factor × (total rows / n_parts). The
-    driver holds O(batches × 16) rows, never the key set."""
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df[on].value_counts().head(16)
-        out = pd.DataFrame({on: vc.index, "n": vc.to_numpy(np.int64)})
-        # batch-total carried on the FIRST row only — broadcasting it
-        # onto all 16 partial rows would inflate the global total 16x
-        # and push the hot threshold out of reach of any real key
-        out["tot"] = 0
-        if len(out):
-            out.iloc[0, out.columns.get_loc("tot")] = len(df)
-        return out
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    if parts.empty:
-        return np.array([], dtype=object if string_key else np.int64)
-    total = int(parts["tot"].sum()) or 1
-    counts = parts.groupby(on)["n"].sum()
-    # a key under-counted by the per-batch cap is by construction not
-    # globally hot at any realistic batch count: a truly hot key is a
-    # top-16 key in nearly every batch it appears in
-    hot = counts[counts > hot_factor * total / max(n_parts, 1)]
-    if string_key:
-        return hot.index.to_numpy(object)
-    return hot.index.to_numpy(np.int64)
 
 
 def anti_join_keys(

@@ -1,5 +1,5 @@
-"""hash_join inner/anti joins, hot-key salting, and the anti_join_keys
-narrow/wide dispatch (SURVEY.md §2.4 A5 at engine scale)."""
+"""hash_join inner/anti joins and the anti_join_keys narrow/wide
+dispatch (SURVEY.md §2.4 A5 at engine scale)."""
 
 from __future__ import annotations
 
@@ -77,55 +77,6 @@ class TestHowVariants:
             relational.hash_join(
                 rd.from_pandas(left), rd.from_pandas(right), on="k", how="cross"
             )
-
-
-class TestSkewSalting:
-    def test_salted_parts_balance(self):
-        # 90%-one-key fixture: without salting the hot key's partition
-        # holds 9k rows; salted, no partition exceeds 2x the median
-        n, n_parts, n_salts = 10_000, 16, 16
-        keys = np.where(np.arange(n) % 10 == 0, np.arange(n) + 100, 7).astype(np.int64)
-        base = relational._part_of(keys, n_parts)
-        is_hot = keys == 7
-        salted = relational._salted_left_parts(base, is_hot, n_salts, n_parts)
-        counts = np.bincount(salted, minlength=n_parts)
-        assert counts.max() <= 2 * np.median(counts)
-        # the unsalted distribution fails the same bar (sanity)
-        raw = np.bincount(base, minlength=n_parts)
-        assert raw.max() > 2 * np.median(raw)
-
-    def test_replicated_right_covers_all_salted_parts(self):
-        base = relational._part_of(np.array([7], dtype=np.int64), 16)
-        take, parts = relational._replicated_right_parts(
-            base, np.array([True]), 16, 16
-        )
-        left_parts = relational._salted_left_parts(
-            relational._part_of(np.full(1000, 7, dtype=np.int64), 16),
-            np.ones(1000, dtype=bool), 16, 16,
-        )
-        assert set(left_parts) <= set(parts)
-
-    def test_salted_join_parity(self, ray_session):
-        # planted skew: 90% of left rows share one key; the salted join
-        # must produce exactly the unsalted (and pandas) result
-        n = 3000
-        rng_k = np.where(np.arange(n) % 10 == 0, (np.arange(n) % 50) + 100, 7)
-        left = pd.DataFrame({"k": rng_k.astype(np.int64), "lv": np.arange(n)})
-        right = pd.DataFrame(
-            {"k": np.arange(200, dtype=np.int64), "rv": np.arange(200) * 3}
-        )
-        exp = left.merge(right, on="k", how="inner")
-        out = relational.hash_join(
-            rd.from_pandas(left), rd.from_pandas(right), on="k",
-            n_parts=8, salt_hot=True, n_salts=8,
-        ).to_pandas()
-        assert _sorted_rows(out) == _sorted_rows(exp)
-        anti = relational.hash_join(
-            rd.from_pandas(left), rd.from_pandas(right[["k"]]), on="k",
-            n_parts=8, how="anti", salt_hot=True, n_salts=8,
-        ).to_pandas()
-        exp_anti = left[~left["k"].isin(right["k"])]
-        assert _sorted_rows(anti) == _sorted_rows(exp_anti[["k", "lv"]])
 
 
 class TestAntiJoinKeysDispatch:
@@ -206,9 +157,3 @@ class TestNullKeyHandling:
         ).to_pandas()
         assert sorted(out_s["v"]) == [1, 2]
 
-    def test_hot_key_detection_finds_planted_skew(self, ray_session):
-        n = 3000
-        keys = np.where(np.arange(n) % 10 == 0, (np.arange(n) % 50) + 100, 7)
-        ds = rd.from_pandas(pd.DataFrame({"k": keys.astype(np.int64), "v": np.arange(n)}))
-        hot = relational._detect_hot_keys(ds, "k", False, n_parts=8, hot_factor=2.0)
-        assert 7 in set(hot.tolist())

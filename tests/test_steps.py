@@ -60,7 +60,10 @@ class TestStepRegistry:
                 return pa.table({"x": pa.array(x**self.power)})
 
         steps = [Step(fn=StatefulSquare, priority=50, concurrency=2, batch_size=4)]
-        out = sorted(compose(_ds(), steps).to_pandas()["x"])
+        # two input blocks, one per actor of the concurrency=2 pool
+        df = pd.DataFrame({"x": np.arange(10, dtype=np.int64)})
+        two_blocks = rd.from_pandas([df.iloc[:5], df.iloc[5:]])
+        out = sorted(compose(two_blocks, steps).to_pandas()["x"])
         assert out == [i**2 for i in range(10)]
 
     def test_name_breaks_priority_ties(self, ray_session):
